@@ -3,7 +3,7 @@
 
 use crate::harness::GraphModel;
 use gnn::layers::GcnLayer;
-use gnn::{GraphTensors, GsgConfig, GsgEncoder};
+use gnn::{GraphTensors, GsgBatch, GsgConfig, GsgEncoder, GsgItem};
 use nn::{Activation, Ctx, GruCell, Linear, ParamId, ParamStore};
 use rand::Rng;
 use tensor::{Tape, Tensor, Var};
@@ -93,7 +93,8 @@ impl EthidentBaseline {
 
 impl GraphModel for EthidentBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        self.encoder.forward(tape, ctx, store, g).logits
+        let batch = GsgBatch::pack([GsgItem::from(g)]);
+        self.encoder.forward_batch(tape, ctx, store, &batch).logits
     }
 }
 

@@ -12,7 +12,9 @@ use calib::{AdaptiveCalibrator, MethodSubset};
 use dbg4eth::Dbg4EthConfig;
 use eth_graph::{sample_subgraph, SamplerConfig, Subgraph, TxGraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale, World, WorldConfig};
-use gnn::{augment, AugmentConfig, GraphTensors, GsgEncoder, LdgEncoder};
+use gnn::{
+    augment, AugmentConfig, GraphTensors, GsgBatch, GsgEncoder, GsgItem, LdgBatch, LdgEncoder,
+};
 use nn::{Ctx, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,10 +64,12 @@ fn bench_features(c: &mut Criterion) {
     });
 }
 
-/// Tables III-VI kernel: one GSG forward+backward pass.
+/// Tables III-VI kernel: one GSG forward+backward pass over one account
+/// packed alone.
 fn bench_gsg_step(c: &mut Criterion) {
     let sg = one_subgraph();
     let g = GraphTensors::from_subgraph(&sg, 10);
+    let batch = GsgBatch::pack([GsgItem::from(&g)]);
     let cfg = Dbg4EthConfig::fast();
     let mut rng = StdRng::seed_from_u64(1);
     let mut store = ParamStore::new();
@@ -75,7 +79,7 @@ fn bench_gsg_step(c: &mut Criterion) {
             store.zero_grad();
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+            let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
             let loss = tape.cross_entropy(out.logits, Arc::new(vec![1]));
             tape.backward(loss);
             ctx.accumulate_grads(&tape, &mut store);
@@ -84,7 +88,8 @@ fn bench_gsg_step(c: &mut Criterion) {
     });
 }
 
-/// Tables III-VI / Fig. 9b kernel: one LDG forward+backward pass.
+/// Tables III-VI / Fig. 9b kernel: one LDG forward+backward pass over one
+/// account packed alone.
 fn bench_ldg_step(c: &mut Criterion) {
     let sg = one_subgraph();
     let cfg = Dbg4EthConfig::fast();
@@ -94,12 +99,13 @@ fn bench_ldg_step(c: &mut Criterion) {
     let mut ldg_cfg = cfg.ldg;
     ldg_cfg.t_slices = cfg.t_slices;
     let enc = LdgEncoder::new(&mut store, &mut rng, ldg_cfg);
+    let batch = LdgBatch::pack(&[&g], cfg.t_slices);
     c.bench_function("table4/ldg_forward_backward", |b| {
         b.iter(|| {
             store.zero_grad();
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+            let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
             let loss = tape.cross_entropy(out.logits, Arc::new(vec![1]));
             tape.backward(loss);
             ctx.accumulate_grads(&tape, &mut store);

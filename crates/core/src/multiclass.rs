@@ -9,13 +9,11 @@
 //! as future work, mirroring the paper's binary-only calibration).
 
 use crate::config::Dbg4EthConfig;
-use crate::trainer::{train_gsg, train_ldg, TrainedGsg, TrainedLdg};
+use crate::trainer::{train_gsg, train_ldg};
 use eth_graph::Subgraph;
 use gnn::GraphTensors;
-use nn::Ctx;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use tensor::Tape;
 
 /// Result of a multiclass run.
 #[derive(Clone, Debug)]
@@ -52,6 +50,42 @@ fn split(
     (train, test)
 }
 
+/// Softmax of a logits row.
+fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = vec![0.0; logits.len()];
+    tensor::softmax_into(logits, &mut probs);
+    probs
+}
+
+/// Per enabled branch (GSG first), the class distribution of every test
+/// graph. Both branches train concurrently; each then scores the test graphs
+/// through its own scoring path (under the profile it trained with) with an
+/// index-ordered parallel map. Training and scoring are deterministic per
+/// task, so the result is bit-identical at any `DBG4ETH_THREADS` setting.
+fn branch_dists(
+    train_graphs: &[&GraphTensors],
+    test_graphs: &[&GraphTensors],
+    cfg: &Dbg4EthConfig,
+) -> Vec<Vec<Vec<f32>>> {
+    let threads = cfg.threads();
+    let (gsg, ldg) = par::join(
+        threads,
+        || {
+            cfg.use_gsg.then(|| {
+                let trained = train_gsg(train_graphs, cfg);
+                par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
+            })
+        },
+        || {
+            cfg.use_ldg.then(|| {
+                let trained = train_ldg(train_graphs, cfg);
+                par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
+            })
+        },
+    );
+    [gsg, ldg].into_iter().flatten().collect()
+}
+
 /// Run the multiclass pipeline on labelled subgraphs (labels must be
 /// `0..n_classes`).
 pub fn run_multiclass(
@@ -75,50 +109,7 @@ pub fn run_multiclass(
     let train_graphs: Vec<&GraphTensors> = train_idx.iter().map(|&i| &tensors[i]).collect();
     let test_graphs: Vec<&GraphTensors> = test_idx.iter().map(|&i| &tensors[i]).collect();
 
-    // Train both branches concurrently; each branch then scores the test
-    // graphs with an index-ordered parallel map. Training and scoring are
-    // deterministic per task, so the result is bit-identical at any
-    // `DBG4ETH_THREADS` setting.
-    fn softmax_dists(
-        store: &nn::ParamStore,
-        forward: impl Fn(&mut Tape, &mut Ctx, &GraphTensors) -> tensor::Var + Sync,
-        test_graphs: &[&GraphTensors],
-        threads: usize,
-    ) -> Vec<Vec<f32>> {
-        par::par_map(threads, test_graphs, |g| {
-            let mut tape = Tape::new();
-            let mut ctx = Ctx::new(store);
-            let logits = forward(&mut tape, &mut ctx, g);
-            let probs = tape.softmax_rows(logits);
-            tape.value(probs).row(0).to_vec()
-        })
-    }
-    let (gsg_dists, ldg_dists) = par::join(
-        threads,
-        || {
-            cfg.use_gsg.then(|| {
-                let trained: TrainedGsg = train_gsg(&train_graphs, &cfg);
-                softmax_dists(
-                    &trained.store,
-                    |tape, ctx, g| trained.encoder.forward(tape, ctx, &trained.store, g).logits,
-                    &test_graphs,
-                    threads,
-                )
-            })
-        },
-        || {
-            cfg.use_ldg.then(|| {
-                let trained: TrainedLdg = train_ldg(&train_graphs, &cfg);
-                softmax_dists(
-                    &trained.store,
-                    |tape, ctx, g| trained.encoder.forward(tape, ctx, &trained.store, g).logits,
-                    &test_graphs,
-                    threads,
-                )
-            })
-        },
-    );
-    let dists: Vec<Vec<Vec<f32>>> = [gsg_dists, ldg_dists].into_iter().flatten().collect();
+    let dists = branch_dists(&train_graphs, &test_graphs, &cfg);
     assert!(!dists.is_empty(), "at least one branch required");
 
     // Average branch distributions and take the argmax.
@@ -227,6 +218,50 @@ mod tests {
             assert_eq!(parallel.macro_f1.to_bits(), serial.macro_f1.to_bits());
             let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&parallel.per_class_f1), bits(&serial.per_class_f1));
+        }
+    }
+
+    /// Each branch's test distributions come from that branch's own scoring
+    /// path, so a model trained under the Fast profile is scored under Fast
+    /// too — the op chain it trained with — not on a default Strict tape.
+    #[test]
+    fn fast_profile_dists_match_the_branch_scoring_path() {
+        use gnn::{GsgConfig, LdgConfig};
+        use tensor::NumericsProfile;
+        let world = World::generate(
+            WorldConfig { n_background: 400, seed: 4, ..Default::default() },
+            &[(AccountClass::Exchange, 5), (AccountClass::Mining, 5), (AccountClass::Normal, 5)],
+        );
+        let graphs = multiclass_graphs(&world, SamplerConfig::new(12, 2));
+        let cfg = Dbg4EthConfig::builder()
+            .numerics(NumericsProfile::Fast)
+            .epochs(2)
+            .t_slices(4)
+            .gsg(GsgConfig { hidden: 16, d_out: 8, n_classes: 7, ..GsgConfig::default() })
+            .ldg(LdgConfig {
+                hidden: 16,
+                d_out: 8,
+                t_slices: 4,
+                pool_clusters: [6, 3, 1],
+                n_classes: 7,
+                ..LdgConfig::default()
+            })
+            .build()
+            .expect("valid configuration");
+        let tensors: Vec<GraphTensors> =
+            graphs.iter().map(|g| GraphTensors::from_subgraph(g, cfg.t_slices)).collect();
+        let refs: Vec<&GraphTensors> = tensors.iter().collect();
+        let dists = branch_dists(&refs, &refs, &cfg);
+        assert_eq!(dists.len(), 2, "both branches enabled");
+
+        let gsg = train_gsg(&refs, &cfg);
+        let ldg = train_ldg(&refs, &cfg);
+        assert_eq!(gsg.numerics, cfg.numerics_profile());
+        assert_eq!(ldg.numerics, cfg.numerics_profile());
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for (k, g) in refs.iter().enumerate() {
+            assert_eq!(bits(&dists[0][k]), bits(&softmax(&gsg.logits(g))), "GSG graph {k}");
+            assert_eq!(bits(&dists[1][k]), bits(&softmax(&ldg.logits(g))), "LDG graph {k}");
         }
     }
 

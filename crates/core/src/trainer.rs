@@ -227,10 +227,10 @@ pub fn train_ldg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedLdg
     TrainedLdg { store, encoder, history, numerics }
 }
 
-/// A trained encoder branch that can score graphs. Inference builds a
-/// fresh tape per graph, so scoring different graphs from different worker
-/// threads is safe and the per-graph results are independent of thread
-/// count.
+/// A trained encoder branch that can score graphs. Inference packs each
+/// graph alone onto a fresh tape, so scoring different graphs from different
+/// worker threads is safe and each graph's result is independent of thread
+/// count and of what else is scored beside it.
 pub trait BranchScorer: Sync {
     /// Raw prediction value (positive-class log-odds) for one graph.
     fn raw_score(&self, graph: &GraphTensors) -> f64;
@@ -253,11 +253,13 @@ pub trait BranchScorer: Sync {
     }
 }
 
-fn forward_log_odds(
+/// Class logits of one graph's forward pass, run on this thread's pooled
+/// scoring tape under `numerics`.
+fn pooled_logits(
     store: &ParamStore,
     numerics: NumericsProfile,
-    forward: impl Fn(&mut Tape, &mut Ctx) -> Var,
-) -> f64 {
+    forward: impl FnOnce(&mut Tape, &mut Ctx) -> Var,
+) -> Vec<f32> {
     // Each scoring worker thread keeps its own buffer pool, so parallel
     // inference reuses allocations without sharing state across threads.
     thread_local! {
@@ -268,18 +270,42 @@ fn forward_log_odds(
             Tape::with_pool_and_profile(std::mem::take(&mut *pool.borrow_mut()), numerics);
         let mut ctx = Ctx::new(store);
         let logits = forward(&mut tape, &mut ctx);
-        let v = tape.value(logits);
-        let odds = (v.get(0, 1) - v.get(0, 0)) as f64;
+        let row = tape.value(logits).row(0).to_vec();
         *pool.borrow_mut() = tape.into_pool();
-        odds
+        row
     })
+}
+
+/// Positive-class log-odds of a binary logits row.
+fn log_odds(logits: &[f32]) -> f64 {
+    (logits[1] - logits[0]) as f64
+}
+
+impl TrainedGsg {
+    /// Class logits of one graph: the graph packed alone through the
+    /// encoder's `forward_batch`, on this thread's pooled tape under the
+    /// branch's numerics profile — the op chain training ran.
+    pub fn logits(&self, graph: &GraphTensors) -> Vec<f32> {
+        let batch = GsgBatch::pack([GsgItem::from(graph)]);
+        pooled_logits(&self.store, self.numerics, |tape, ctx| {
+            self.encoder.forward_batch(tape, ctx, &self.store, &batch).logits
+        })
+    }
+}
+
+impl TrainedLdg {
+    /// Class logits of one graph; see [`TrainedGsg::logits`].
+    pub fn logits(&self, graph: &GraphTensors) -> Vec<f32> {
+        let batch = LdgBatch::pack(&[graph], self.encoder.config.t_slices);
+        pooled_logits(&self.store, self.numerics, |tape, ctx| {
+            self.encoder.forward_batch(tape, ctx, &self.store, &batch).logits
+        })
+    }
 }
 
 impl BranchScorer for TrainedGsg {
     fn raw_score(&self, graph: &GraphTensors) -> f64 {
-        forward_log_odds(&self.store, self.numerics, |tape, ctx| {
-            self.encoder.forward(tape, ctx, &self.store, graph).logits
-        })
+        log_odds(&self.logits(graph))
     }
 
     fn history(&self) -> &[EpochStats] {
@@ -289,9 +315,7 @@ impl BranchScorer for TrainedGsg {
 
 impl BranchScorer for TrainedLdg {
     fn raw_score(&self, graph: &GraphTensors) -> f64 {
-        forward_log_odds(&self.store, self.numerics, |tape, ctx| {
-            self.encoder.forward(tape, ctx, &self.store, graph).logits
-        })
+        log_odds(&self.logits(graph))
     }
 
     fn history(&self) -> &[EpochStats] {

@@ -1,24 +1,23 @@
 //! Mini-batch packing: many subgraphs → one block-diagonal problem.
 //!
-//! Training used to build one tape per account per mini-batch; the fixed
-//! per-tape overhead (leaf re-insertion, small GEMMs, pool traffic) dominated
-//! the encode phase. These packers concatenate a mini-batch of subgraphs into
-//! a single node-feature matrix plus block-diagonal adjacency structure so
-//! each encoder layer runs once per batch:
+//! The encoders' only forward (`forward_batch`) runs on a packed batch. These
+//! packers concatenate subgraphs into a single node-feature matrix plus
+//! block-diagonal adjacency structure so each encoder layer runs once per
+//! batch — a training mini-batch, or a single account when scoring:
 //!
 //! * dense weight matmuls become one fused `(Σn, d) @ (d, d')` product —
-//!   row-independent, so every output row is bit-identical to the
-//!   per-account product;
+//!   row-independent, so every output row is bit-identical to the product
+//!   of that graph alone;
 //! * sparse propagation uses [`Csr::block_diagonal`], whose per-row kernels
 //!   never cross block boundaries (see the ordering contract on `Csr`);
 //! * graph-level reductions (pooling, graph attention, DiffPool) use the
 //!   tape's segment ops, each pinned bit-identical to the per-graph op chain
 //!   it fuses.
 //!
-//! The net contract, relied on by `tests/batch_equivalence.rs`: under the
-//! Strict numerics profile, batched forward outputs are bit-identical per
-//! account to the per-account path, and gradients on the packed input leaf
-//! decompose row-for-row into the per-account gradients.
+//! The net contract, pinned by `tests/batch_equivalence.rs`: under the
+//! Strict numerics profile a batch of `N` graphs equals `N` batches of one —
+//! forward outputs are bit-identical row for row, and gradients on the
+//! packed input leaf decompose row-for-row into the one-graph gradients.
 
 use crate::augment::AugmentedView;
 use crate::graphdata::GraphTensors;
@@ -163,7 +162,7 @@ impl GsgBatch {
 ///
 /// Each time slice's adjacency becomes one block-diagonal CSR over the packed
 /// node rows; per-graph slice lists shorter than `t_slices` repeat their last
-/// slice, mirroring the per-account `.get(t).unwrap_or(last)` fallback.
+/// slice.
 pub struct LdgBatch {
     /// Node-row offsets per graph, length `B + 1`.
     pub offsets: Arc<Vec<usize>>,
@@ -262,30 +261,7 @@ impl LdgBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{LdgConfig, LdgEncoder};
-    use crate::hier::{GsgConfig, GsgEncoder};
     use eth_graph::{AccountKind, LocalTx, Subgraph};
-    use nn::{Ctx, ParamStore};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tensor::{Tape, Tensor};
-
-    fn assert_rows_bitwise(
-        per: &Tensor,
-        per_row: usize,
-        batched: &Tensor,
-        b_row: usize,
-        what: &str,
-    ) {
-        assert_eq!(per.cols(), batched.cols(), "{what}: width mismatch");
-        for j in 0..per.cols() {
-            assert_eq!(
-                per.get(per_row, j).to_bits(),
-                batched.get(b_row, j).to_bits(),
-                "{what}: row {b_row} col {j} differs"
-            );
-        }
-    }
 
     fn toy(n: usize, label: usize) -> GraphTensors {
         let g = Subgraph::from_parts(
@@ -351,80 +327,5 @@ mod tests {
         assert_eq!(batch.stack_perm[t], 1); // (g=1, t=0) -> slice-major row 1
         assert_eq!(batch.alpha_tile[t - 1], t - 1);
         assert_eq!(batch.time_offsets.as_slice(), &[0, t, 2 * t]);
-    }
-
-    #[test]
-    fn gsg_forward_batch_matches_per_graph_bitwise() {
-        let graphs = [toy(3, 0), toy(5, 1), toy(4, 0), toy(2, 1)];
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let cfg = GsgConfig { hidden: 8, d_out: 4, ..Default::default() };
-        let enc = GsgEncoder::new(&mut store, &mut rng, cfg);
-
-        let mut tape = Tape::new();
-        let mut ctx = Ctx::new(&store);
-        let outs: Vec<_> =
-            graphs.iter().map(|g| enc.forward(&mut tape, &mut ctx, &store, g)).collect();
-
-        let mut tape_b = Tape::new();
-        let mut ctx_b = Ctx::new(&store);
-        let batch = GsgBatch::pack(graphs.iter().map(GsgItem::from));
-        let out_b = enc.forward_batch(&mut tape_b, &mut ctx_b, &store, &batch);
-
-        for (g, o) in outs.iter().enumerate() {
-            assert_rows_bitwise(tape.value(o.logits), 0, tape_b.value(out_b.logits), g, "logits");
-            assert_rows_bitwise(
-                tape.value(o.embedding),
-                0,
-                tape_b.value(out_b.embedding),
-                g,
-                "embedding",
-            );
-            assert_rows_bitwise(
-                tape.value(o.projection),
-                0,
-                tape_b.value(out_b.projection),
-                g,
-                "projection",
-            );
-        }
-    }
-
-    #[test]
-    fn ldg_forward_batch_matches_per_graph_bitwise() {
-        let graphs = [toy(4, 0), toy(3, 1), toy(6, 0)];
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut store = ParamStore::new();
-        let cfg = LdgConfig {
-            hidden: 8,
-            t_slices: 5,
-            d_out: 4,
-            pool_clusters: [6, 3, 1],
-            pool_layers: 2,
-            ..Default::default()
-        };
-        let enc = LdgEncoder::new(&mut store, &mut rng, cfg);
-
-        let mut tape = Tape::new();
-        let mut ctx = Ctx::new(&store);
-        let outs: Vec<_> =
-            graphs.iter().map(|g| enc.forward(&mut tape, &mut ctx, &store, g)).collect();
-
-        let mut tape_b = Tape::new();
-        let mut ctx_b = Ctx::new(&store);
-        let refs: Vec<&GraphTensors> = graphs.iter().collect();
-        let batch = LdgBatch::pack(&refs, 5);
-        let out_b = enc.forward_batch(&mut tape_b, &mut ctx_b, &store, &batch);
-
-        for (g, o) in outs.iter().enumerate() {
-            assert_rows_bitwise(tape.value(o.logits), 0, tape_b.value(out_b.logits), g, "logits");
-            assert_rows_bitwise(
-                tape.value(o.embedding),
-                0,
-                tape_b.value(out_b.embedding),
-                g,
-                "embedding",
-            );
-        }
     }
 }

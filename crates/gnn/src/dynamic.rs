@@ -4,7 +4,6 @@
 //! time slices (Eq. 22) feeding the LDG prediction head (Eq. 23).
 
 use crate::batch::LdgBatch;
-use crate::graphdata::GraphTensors;
 use crate::layers::GcnLayer;
 use nn::{Activation, Ctx, GruCell, Linear, ParamId, ParamStore};
 use rand::Rng;
@@ -64,11 +63,12 @@ pub struct LdgEncoder {
     head: Linear,
 }
 
-/// Output of one LDG forward pass.
+/// Output of one LDG forward pass over a packed batch of `B` graphs; row
+/// `g` of each output belongs to graph `g`.
 pub struct LdgOutput {
-    /// Read-out embedding `γ` after Eq. 23's ReLU projection, `(1, d_out)`.
+    /// Read-out embedding `γ` after Eq. 23's ReLU projection, `(B, d_out)`.
     pub embedding: Var,
-    /// Class logits `(1, n_classes)`.
+    /// Class logits `(B, n_classes)`.
     pub logits: Var,
 }
 
@@ -104,118 +104,20 @@ impl LdgEncoder {
         Self { config, input_proj, gcn, gru, assign, time_attn, theta_g, head }
     }
 
-    /// DiffPool chain for one time slice: returns the `(1, hidden)` pooled
-    /// representation (Eqs. 19-21 followed by a mean over the final
-    /// clusters).
-    fn pool_slice(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        adj_csr: &Arc<Csr>,
-        mut h: Var,
-    ) -> Var {
-        // Stage 0 consumes the slice's constant CSR adjacency (the `A` side
-        // of Eq. 21's Mᵀ A M goes through the sparse kernel). Coarsened
-        // stages operate on small dense adjacencies that carry gradients
-        // through M, so they stay on the dense tape path.
-        let mut adj: Option<Var> = None;
-        for stage in &self.assign {
-            // Eq. 19: M_t = softmax(GNN(A_t, h_t)).
-            let scores = match adj {
-                None => stage.forward_csr(tape, ctx, store, adj_csr, h),
-                Some(a) => stage.forward(tape, ctx, store, a, h),
-            };
-            let m = tape.softmax_rows(scores);
-            let mt = tape.transpose(m);
-            // Eq. 20: h_pool = Mᵀ h. Eq. 21: A_pool = Mᵀ A M.
-            h = tape.matmul(mt, h);
-            let am = match adj {
-                None => tape.spmm(adj_csr, m),
-                Some(a) => tape.matmul(a, m),
-            };
-            adj = Some(tape.matmul(mt, am));
-        }
-        tape.mean_pool_rows(h)
-    }
-
-    /// Encode a lowered subgraph. The graph's `slice_adj` must contain at
-    /// least one slice; slices beyond `t_slices` are ignored, missing ones
-    /// reuse the last adjacency.
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        graph: &GraphTensors,
-    ) -> LdgOutput {
-        let x = tape.constant_copy(&graph.x);
-        self.forward_with_x(tape, ctx, store, graph, x)
-    }
-
-    /// [`LdgEncoder::forward`] with the node features already on the tape;
-    /// a gradient-carrying leaf lets callers differentiate with respect to
-    /// the inputs (used by the batch-equivalence tests).
-    pub fn forward_with_x(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        graph: &GraphTensors,
-        x: Var,
-    ) -> LdgOutput {
-        assert!(!graph.slice_adj_csr.is_empty(), "LDG needs time slices");
-        let mut h = self.input_proj.forward(tape, ctx, store, x);
-
-        let mut pooled: Option<Var> = None;
-        for t in 0..self.config.t_slices {
-            let adj_csr =
-                graph.slice_adj_csr.get(t).unwrap_or_else(|| graph.slice_adj_csr.last().unwrap());
-            // Eq. 14: topological features from the previous evolutionary
-            // state. Eqs. 15-18: GRU update.
-            let u_t = self.gcn.forward_csr(tape, ctx, store, adj_csr, h);
-            h = self.gru.forward(tape, ctx, store, u_t, h);
-            // Eqs. 19-21: per-slice hierarchical pooling.
-            let p = self.pool_slice(tape, ctx, store, adj_csr, h);
-            pooled = Some(match pooled {
-                None => p,
-                Some(acc) => tape.concat_rows(acc, p),
-            });
-        }
-        let stack = pooled.expect("at least one slice"); // (T, hidden)
-
-        // Eq. 22: γ = Σ_t α_t h_tᵖᵒᵒˡ with learned softmax weights.
-        let attn_logits = ctx.var(tape, store, self.time_attn);
-        let alpha = tape.softmax_rows(attn_logits); // (1, T)
-        let gamma = tape.matmul(alpha, stack); // (1, hidden)
-
-        // The read-out targets "a unique representation of the central node
-        // v_i" (Section IV-B): combine the pooled slice summary with the
-        // centre account's final evolutionary features h_T[0].
-        let gamma = if self.config.use_center {
-            let center = tape.gather_rows(h, std::sync::Arc::new(vec![0]));
-            tape.concat_cols(gamma, center)
-        } else {
-            gamma
-        };
-
-        // Eq. 23: l = ReLU(Θg γ), then the logits head.
-        let embedding = self.theta_g.forward(tape, ctx, store, gamma);
-        let logits = self.head.forward(tape, ctx, store, embedding);
-        LdgOutput { embedding, logits }
-    }
-
-    /// Batched [`LdgEncoder::pool_slice`]: `adj_csr` is the slice's
-    /// block-diagonal adjacency over the packed node rows, `offsets` the
-    /// per-graph node segments. Returns `(B, hidden)`.
+    /// DiffPool chain for one time slice (Eqs. 19-21 followed by a mean over
+    /// the final clusters): `adj_csr` is the slice's block-diagonal
+    /// adjacency over the packed node rows, `node_offsets` the per-graph
+    /// node segments. Returns `(B, hidden)`.
     ///
-    /// Mirrors the per-graph chain op for op. The `gather_rows` identity copy
-    /// of `M` stands in for the per-graph `transpose`: both give `M`'s
-    /// gradient the same two-level accumulation tree (`h`-product and
-    /// `A`-product contributions summed in a side buffer, then folded into
-    /// the softmax output's gradient after the `Â M` contribution), which
-    /// keeps the backward pass bit-identical — a flat three-way accumulation
-    /// would associate the same sums differently.
+    /// Stage 0 consumes the constant CSR adjacency (the `A` side of Eq. 21's
+    /// Mᵀ A M goes through the sparse kernel); coarsened stages operate on
+    /// small per-graph dense blocks that carry gradients through `M`. The
+    /// `gather_rows` identity copy of `M` gives `M`'s gradient a two-level
+    /// accumulation tree (`h`-product and `A`-product contributions summed
+    /// in a side buffer, then folded into the softmax output's gradient
+    /// after the `Â M` contribution), the same tree a `transpose` of `M`
+    /// would build; a flat three-way accumulation would associate the same
+    /// sums differently and move the golden-trace bits.
     #[allow(clippy::too_many_arguments)]
     fn pool_slice_batch(
         &self,
@@ -251,10 +153,12 @@ impl LdgEncoder {
         tape.segment_mean_pool_rows(h, offsets)
     }
 
-    /// Encode a packed mini-batch in one pass: row `g` of every output is
-    /// bit-identical to what [`LdgEncoder::forward`] produces for graph `g`
-    /// alone (under the Strict numerics profile — Fast relaxes the dense
-    /// GEMMs).
+    /// Encode a packed mini-batch in one pass. This is the encoder's only
+    /// forward: training packs a mini-batch, scoring packs one account
+    /// alone. Under the Strict numerics profile row `g` of every output is
+    /// bit-identical to the output of graph `g` packed alone (Fast relaxes
+    /// the dense GEMMs). Graphs with fewer than `t_slices` slices reuse their
+    /// last adjacency (the packer repeats it).
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -283,9 +187,9 @@ impl LdgEncoder {
         let mut pooled: Option<Var> = None;
         for t in 0..self.config.t_slices {
             let adj_csr = batch.slice_csr.get(t).unwrap_or_else(|| batch.slice_csr.last().unwrap());
-            // Eq. 14: topological features. Eqs. 15-18: GRU update. Both are
-            // row-local (SpMM never crosses block-diagonal boundaries), so
-            // the per-graph layers run unchanged on the packed rows.
+            // Eq. 14: topological features from the previous evolutionary
+            // state. Eqs. 15-18: GRU update. Both are row-local (SpMM never
+            // crosses block-diagonal boundaries).
             let u_t = self.gcn.forward_csr(tape, ctx, store, adj_csr, h);
             h = self.gru.forward(tape, ctx, store, u_t, h);
             // Eqs. 19-21: per-slice hierarchical pooling, `(B, hidden)`.
@@ -311,6 +215,9 @@ impl LdgEncoder {
         let alpha_rep = tape.gather_rows(alpha_col, batch.alpha_tile.clone()); // (B·T, 1)
         let gamma = tape.seg_matmul_tn(alpha_rep, stack, batch.time_offsets.clone());
 
+        // The read-out targets "a unique representation of the central node
+        // v_i" (Section IV-B): combine the pooled slice summary with the
+        // centre account's final evolutionary features h_T[0].
         let gamma = if self.config.use_center {
             let center = tape.gather_rows(h, batch.center_rows.clone());
             tape.concat_cols(gamma, center)
@@ -328,6 +235,7 @@ impl LdgEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphdata::GraphTensors;
     use eth_graph::{AccountKind, LocalTx, Subgraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -364,6 +272,10 @@ mod tests {
         (store, enc)
     }
 
+    fn pack_one(enc: &LdgEncoder, g: &GraphTensors) -> LdgBatch {
+        LdgBatch::pack(&[g], enc.config.t_slices)
+    }
+
     #[test]
     fn forward_shapes_for_each_pool_depth() {
         for layers in 1..=3 {
@@ -371,7 +283,7 @@ mod tests {
             let g = toy(1, false);
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+            let out = enc.forward_batch(&mut tape, &mut ctx, &store, &pack_one(&enc, &g));
             assert_eq!(tape.value(out.embedding).shape(), (1, 8));
             assert_eq!(tape.value(out.logits).shape(), (1, 2));
             assert!(tape.value(out.logits).all_finite());
@@ -384,7 +296,7 @@ mod tests {
         let g = toy(1, true);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+        let out = enc.forward_batch(&mut tape, &mut ctx, &store, &pack_one(&enc, &g));
         let loss = tape.cross_entropy(out.logits, Arc::new(vec![1]));
         tape.backward(loss);
         ctx.accumulate_grads(&tape, &mut store);
@@ -400,14 +312,15 @@ mod tests {
         let (mut store, enc) = encoder(2);
         let g_burst = toy(1, true);
         let g_unif = toy(0, false);
+        let (b_burst, b_unif) = (pack_one(&enc, &g_burst), pack_one(&enc, &g_unif));
         let mut opt = nn::Adam::new(0.02);
         let mut last = f32::MAX;
         for _ in 0..80 {
             store.zero_grad();
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let o1 = enc.forward(&mut tape, &mut ctx, &store, &g_burst);
-            let o0 = enc.forward(&mut tape, &mut ctx, &store, &g_unif);
+            let o1 = enc.forward_batch(&mut tape, &mut ctx, &store, &b_burst);
+            let o0 = enc.forward_batch(&mut tape, &mut ctx, &store, &b_unif);
             let logits = tape.concat_rows(o1.logits, o0.logits);
             let loss = tape.cross_entropy(logits, Arc::new(vec![1, 0]));
             last = tape.value(loss).item();

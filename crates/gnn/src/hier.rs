@@ -3,10 +3,8 @@
 //! layers (Eqs. 7-9) and graph-level attention pooling (Eqs. 10-13).
 
 use crate::batch::GsgBatch;
-use crate::graphdata::GraphTensors;
 use nn::{Activation, Ctx, Linear, ParamId, ParamStore};
 use rand::Rng;
-use std::sync::Arc;
 use tensor::{Tape, Tensor, Var};
 
 use crate::layers::GatLayer;
@@ -62,13 +60,15 @@ pub struct GsgEncoder {
     proj: Linear,
 }
 
-/// Output of one GSG forward pass.
+/// Output of one GSG forward pass over a packed batch of `B` graphs; row
+/// `g` of each output belongs to graph `g`.
 pub struct GsgOutput {
-    /// Graph embedding `g` of Eq. 13, shape `(1, d_out)`.
+    /// Graph embedding `g` of Eq. 13 (with the centre embedding appended
+    /// when `use_center`), shape `(B, emb_width)`.
     pub embedding: Var,
-    /// Class logits, shape `(1, n_classes)`.
+    /// Class logits, shape `(B, n_classes)`.
     pub logits: Var,
-    /// Contrastive projection, shape `(1, d_out)`.
+    /// Contrastive projection, shape `(B, d_out)`.
     pub projection: Var,
 }
 
@@ -105,119 +105,11 @@ impl GsgEncoder {
         Self { config, align, gats, s_attn, theta_g, head, proj }
     }
 
-    /// Encode a graph given explicit tensors (used both for the original
-    /// graph and for augmented views).
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_parts(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        n: usize,
-        x: &Tensor,
-        src: &Arc<Vec<usize>>,
-        dst: &Arc<Vec<usize>>,
-        edge_feat: &Tensor,
-    ) -> GsgOutput {
-        let xv = tape.constant_copy(x);
-        self.forward_parts_with_x(tape, ctx, store, n, xv, src, dst, edge_feat)
-    }
-
-    /// [`GsgEncoder::forward_parts`] with the node features already on the
-    /// tape. Passing a gradient-carrying leaf instead of a constant lets
-    /// callers (e.g. the batch-equivalence tests) differentiate with respect
-    /// to the inputs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_parts_with_x(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        n: usize,
-        xv: Var,
-        src: &Arc<Vec<usize>>,
-        dst: &Arc<Vec<usize>>,
-        edge_feat: &Tensor,
-    ) -> GsgOutput {
-        let ef = tape.constant_copy(edge_feat);
-
-        // Eq. 6 — alignment. Per-edge source features fused with the edge
-        // features; per-node self representations fused with zeros.
-        let x_src = tape.gather_rows(xv, src.clone());
-        let edge_in = tape.concat_cols(x_src, ef);
-        let aligned_edges = self.align.forward(tape, ctx, store, edge_in);
-        let zeros = tape.constant(Tensor::zeros(n, 2));
-        let node_in = tape.concat_cols(xv, zeros);
-        let mut h = self.align.forward(tape, ctx, store, node_in);
-
-        // Eqs. 7-9 — node-level attention. The first layer consumes the
-        // aligned per-edge neighbour features; deeper layers gather from h.
-        for (l, gat) in self.gats.iter().enumerate() {
-            let src_h = if l == 0 { Some(aligned_edges) } else { None };
-            h = gat.forward(tape, ctx, store, h, src_h, src, dst, n);
-        }
-
-        // Eq. 10 — initial subgraph representation by global max pooling.
-        let c = tape.max_pool_rows(h);
-
-        // Eqs. 11-12 — graph-level attention over nodes ∪ {c}.
-        let s_attn = ctx.var(tape, store, self.s_attn);
-        let all = tape.concat_rows(c, h); // row 0 is c
-        let c_rep = tape.gather_rows(all, Arc::new(vec![0; n + 1]));
-        let cat = tape.concat_cols(c_rep, all);
-        let scores = tape.matmul(cat, s_attn);
-        let scores = tape.leaky_relu(scores, 0.2);
-        let beta = tape.segment_softmax(scores, Arc::new(vec![0; n + 1]));
-
-        // Eq. 13 — g = Elu(βᵀ (all Θg)).
-        let theta_g = ctx.var(tape, store, self.theta_g);
-        let transformed = tape.matmul(all, theta_g);
-        let beta_t = tape.transpose(beta);
-        let g = tape.matmul(beta_t, transformed);
-        let g = tape.elu(g, 1.0);
-
-        // The subgraph is centred on the target account (local node 0);
-        // its final h-hop representation H⁰ʰ "represents the embedded
-        // features of the target node" (Section IV-A2). Classify from the
-        // graph embedding concatenated with the centre embedding.
-        let combined = if self.config.use_center {
-            let center_h = tape.gather_rows(h, Arc::new(vec![0]));
-            let center_e = tape.matmul(center_h, theta_g);
-            let center_e = tape.elu(center_e, 1.0);
-            tape.concat_cols(g, center_e)
-        } else {
-            g
-        };
-
-        let logits = self.head.forward(tape, ctx, store, combined);
-        let projection = self.proj.forward(tape, ctx, store, combined);
-        GsgOutput { embedding: combined, logits, projection }
-    }
-
-    /// Encode a lowered subgraph.
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        graph: &GraphTensors,
-    ) -> GsgOutput {
-        self.forward_parts(
-            tape,
-            ctx,
-            store,
-            graph.n,
-            &graph.x,
-            &graph.src,
-            &graph.dst,
-            &graph.edge_feat,
-        )
-    }
-
-    /// Encode a packed mini-batch in one pass: row `g` of every output is
-    /// bit-identical to what [`GsgEncoder::forward`] produces for graph `g`
-    /// alone (under the Strict numerics profile — Fast relaxes the dense
-    /// GEMMs).
+    /// Encode a packed mini-batch in one pass. This is the encoder's only
+    /// forward: training packs a mini-batch, scoring packs one account
+    /// alone. Under the Strict numerics profile row `g` of every output is
+    /// bit-identical to the output of graph `g` packed alone (Fast relaxes
+    /// the dense GEMMs).
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -232,11 +124,11 @@ impl GsgEncoder {
     /// [`GsgEncoder::forward_batch`] with the packed node features already on
     /// the tape (gradient-carrying when the caller needs input gradients).
     ///
-    /// Every step mirrors [`GsgEncoder::forward_parts_with_x`] op for op:
-    /// dense layers are row-independent, message passing uses the pre-shifted
-    /// global edge lists, and the per-graph reductions become segment ops
-    /// (each pinned bit-identical to the per-graph chain it fuses — see the
-    /// op docs on `Tape`).
+    /// Dense layers are row-independent, message passing uses the
+    /// pre-shifted global edge lists, and the per-graph reductions are
+    /// segment ops (each pinned bit-identical to the per-graph chain it
+    /// fuses — see the op docs on `Tape`), so no output row depends on what
+    /// else shares the batch.
     pub fn forward_batch_with_x(
         &self,
         tape: &mut Tape,
@@ -256,9 +148,10 @@ impl GsgEncoder {
         let node_in = tape.concat_cols(xv, zeros);
         let mut h = self.align.forward(tape, ctx, store, node_in);
 
-        // Eqs. 7-9 — the per-graph GAT code runs unchanged on the global
-        // edge lists: destinations never cross graph boundaries, so each
-        // softmax segment and scatter row matches the per-graph pass.
+        // Eqs. 7-9 — node-level attention. The first layer consumes the
+        // aligned per-edge neighbour features; deeper layers gather from h.
+        // Destinations never cross graph boundaries, so each softmax segment
+        // and scatter row sees only its own graph.
         for (l, gat) in self.gats.iter().enumerate() {
             let src_h = if l == 0 { Some(aligned_edges) } else { None };
             h = gat.forward(tape, ctx, store, h, src_h, &batch.src, &batch.dst, n_total);
@@ -267,9 +160,9 @@ impl GsgEncoder {
         // Eq. 10 — per-graph global max pooling, `(B, hidden)`.
         let c = tape.segment_max_pool_rows(h, batch.offsets.clone());
 
-        // Eqs. 11-12 — graph-level attention. `all` interleaves each graph's
-        // pooled row with its node rows (graph g's c_g at `all_offsets[g]`),
-        // reproducing the per-graph `concat_rows(c, h)` layout.
+        // Eqs. 11-12 — graph-level attention over nodes ∪ {c}. `all`
+        // interleaves each graph's pooled row with its node rows: graph g's
+        // segment is `[c_g ‖ h_g]`, with c_g at `all_offsets[g]`.
         let s_attn = ctx.var(tape, store, self.s_attn);
         let stacked = tape.concat_rows(c, h);
         let all = tape.gather_rows(stacked, batch.all_perm.clone());
@@ -280,12 +173,16 @@ impl GsgEncoder {
         let beta = tape.segment_softmax(scores, batch.all_seg.clone());
 
         // Eq. 13 — g = Elu(βᵀ (all Θg)) per graph; `seg_matmul_tn` replays
-        // the per-graph transpose + matmul bit for bit.
+        // a transpose + matmul per segment bit for bit.
         let theta_g = ctx.var(tape, store, self.theta_g);
         let transformed = tape.matmul(all, theta_g);
         let g = tape.seg_matmul_tn(beta, transformed, batch.all_offsets.clone());
         let g = tape.elu(g, 1.0);
 
+        // The subgraph is centred on the target account (local node 0);
+        // its final h-hop representation H⁰ʰ "represents the embedded
+        // features of the target node" (Section IV-A2). Classify from the
+        // graph embedding concatenated with the centre embedding.
         let combined = if self.config.use_center {
             let center_h = tape.gather_rows(h, batch.center_rows.clone());
             let center_e = tape.matmul(center_h, theta_g);
@@ -304,9 +201,16 @@ impl GsgEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::GsgItem;
+    use crate::graphdata::GraphTensors;
     use eth_graph::{AccountKind, LocalTx, Subgraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
+
+    fn pack_one(g: &GraphTensors) -> GsgBatch {
+        GsgBatch::pack([GsgItem::from(g)])
+    }
 
     fn toy_graph(label: usize) -> GraphTensors {
         let g = Subgraph::from_parts(
@@ -359,7 +263,7 @@ mod tests {
         let g = toy_graph(1);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+        let out = enc.forward_batch(&mut tape, &mut ctx, &store, &pack_one(&g));
         assert_eq!(tape.value(out.embedding).shape(), (1, 64));
         assert_eq!(tape.value(out.logits).shape(), (1, 2));
         assert_eq!(tape.value(out.projection).shape(), (1, 32));
@@ -374,7 +278,7 @@ mod tests {
         let g = toy_graph(1);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let out = enc.forward(&mut tape, &mut ctx, &store, &g);
+        let out = enc.forward_batch(&mut tape, &mut ctx, &store, &pack_one(&g));
         let loss = tape.cross_entropy(out.logits, Arc::new(vec![1]));
         tape.backward(loss);
         ctx.accumulate_grads(&tape, &mut store);
@@ -411,14 +315,15 @@ mod tests {
             );
             GraphTensors::from_subgraph(&g, 3)
         };
+        let (b1, b0) = (pack_one(&g1), pack_one(&g0));
         let mut opt = nn::Adam::new(0.01);
         let mut last = f32::MAX;
         for _ in 0..60 {
             store.zero_grad();
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let o1 = enc.forward(&mut tape, &mut ctx, &store, &g1);
-            let o0 = enc.forward(&mut tape, &mut ctx, &store, &g0);
+            let o1 = enc.forward_batch(&mut tape, &mut ctx, &store, &b1);
+            let o0 = enc.forward_batch(&mut tape, &mut ctx, &store, &b0);
             let logits = tape.concat_rows(o1.logits, o0.logits);
             let loss = tape.cross_entropy(logits, Arc::new(vec![1, 0]));
             last = tape.value(loss).item();

@@ -12,9 +12,11 @@
 //!   (Eqs. 14-18), DiffPool (Eqs. 19-21), time-slice read-out (Eqs. 22-23),
 //! * [`augment`] / [`nt_xent`] — adaptive augmentation and the contrastive
 //!   objective (Section IV-A3),
-//! * [`GsgBatch`] / [`LdgBatch`] — block-diagonal mini-batch packing feeding
-//!   the encoders' `forward_batch` paths (bit-identical per account to the
-//!   per-account paths under the Strict numerics profile).
+//! * [`GsgBatch`] / [`LdgBatch`] — block-diagonal packing feeding each
+//!   encoder's one forward, `forward_batch`: training packs a mini-batch,
+//!   scoring packs one account alone, and under the Strict numerics profile
+//!   a batch of `N` graphs is bit-identical row for row to `N` batches of
+//!   one.
 
 mod augment;
 mod batch;

@@ -30,5 +30,5 @@ mod tensor;
 
 pub use csr::Csr;
 pub use profile::NumericsProfile;
-pub use tape::{BufferPool, PoolStats, Tape, Var};
+pub use tape::{softmax_into, BufferPool, PoolStats, Tape, Var};
 pub use tensor::Tensor;

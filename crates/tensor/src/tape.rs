@@ -1442,8 +1442,9 @@ fn check_offsets(offsets: &[usize], rows: usize) {
     }
 }
 
-/// Numerically stable softmax of `input` written into `out`.
-fn softmax_into(input: &[f32], out: &mut [f32]) {
+/// Numerically stable softmax of `input` written into `out` — the row
+/// kernel of [`Tape::softmax_rows`], for callers holding plain logits.
+pub fn softmax_into(input: &[f32], out: &mut [f32]) {
     let m = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for (o, &x) in out.iter_mut().zip(input) {

@@ -1,15 +1,18 @@
-//! Property tests of the batched block-diagonal encode path.
+//! Property tests of the batched block-diagonal encode path: batch(N) ≡
+//! N × batch(1).
 //!
-//! The trainer packs every mini-batch into one block-diagonal adjacency and
-//! runs a single fused forward per GNN layer ([`gnn::GsgBatch`] /
-//! [`gnn::LdgBatch`]). Under the Strict numerics profile that fusion is a
-//! pure re-orchestration: these properties pin, over arbitrary mixes of
-//! subgraph sizes and shapes, that
+//! Each encoder has one forward, `forward_batch`, over a packed batch
+//! ([`gnn::GsgBatch`] / [`gnn::LdgBatch`]). The trainer packs a whole
+//! mini-batch into one block-diagonal adjacency; scoring packs each account
+//! alone. Under the Strict numerics profile the fusion is a pure
+//! re-orchestration: these properties pin, over arbitrary mixes of subgraph
+//! sizes and shapes, that
 //!
-//! - every batched score (logits, embeddings, projections) is bit-identical
-//!   to the per-account forward of the same graph, and
+//! - every batched output row (logits, embeddings, projections) is
+//!   bit-identical to the output of the same graph packed alone, and
 //! - the gradient of the loss with respect to the packed input-feature leaf
-//!   decomposes row-for-row into the per-account input gradients.
+//!   decomposes row-for-row into the input gradients of the one-graph
+//!   packs.
 //!
 //! A final end-to-end check runs the full pipeline at 1 and 8 worker threads
 //! and requires bit-identical probabilities, so the batched encode stays
@@ -101,25 +104,33 @@ fn ldg_encoder(seed: u64) -> (ParamStore, LdgEncoder) {
     (store, enc)
 }
 
-/// Per-graph bit patterns of (output row, input gradient, weight gradient) /
-/// (output row, input gradient) collected from the per-account path.
-type GradBits3 = (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>);
-type GradBits2 = (Vec<Vec<u32>>, Vec<Vec<u32>>);
+/// Per-graph bit patterns of (logits, embedding, projection) /
+/// (logits, embedding) collected from one-graph packs.
+type RowBits3 = (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>);
+type RowBits2 = (Vec<Vec<u32>>, Vec<Vec<u32>>);
+
+fn gsg_one(g: &GraphTensors) -> GsgBatch {
+    GsgBatch::pack([GsgItem::from(g)])
+}
+
+fn ldg_one(g: &GraphTensors) -> LdgBatch {
+    LdgBatch::pack(&[g], T_SLICES)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// GSG: every batched output row is bit-identical to the per-account
-    /// forward of the same graph, for arbitrary mixes of graph shapes.
+    /// GSG: every batched output row is bit-identical to the same graph
+    /// packed alone, for arbitrary mixes of graph shapes.
     #[test]
     fn gsg_batched_scores_match_per_account(graphs in arb_batch(), seed in any::<u64>()) {
         let (store, enc) = gsg_encoder(seed);
-        // per-account path: one fresh tape per graph, as serving does
-        let mut per: Vec<GradBits3> = Vec::new();
+        // one-graph packs, one fresh tape per graph, as serving does
+        let mut per: Vec<RowBits3> = Vec::new();
         for g in &graphs {
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let o = enc.forward(&mut tape, &mut ctx, &store, g);
+            let o = enc.forward_batch(&mut tape, &mut ctx, &store, &gsg_one(g));
             per.push((
                 row_bits(tape.value(o.logits)),
                 row_bits(tape.value(o.embedding)),
@@ -140,18 +151,17 @@ proptest! {
         }
     }
 
-    /// LDG: batched logits and embeddings are bit-identical per account,
-    /// including graphs whose transaction span leaves some time slices
-    /// empty (the packer repeats the last adjacency exactly like the
-    /// per-account loop does).
+    /// LDG: batched logits and embeddings are bit-identical to each graph
+    /// packed alone, including graphs whose transaction span leaves some
+    /// time slices empty (the packer repeats each graph's last adjacency).
     #[test]
     fn ldg_batched_scores_match_per_account(graphs in arb_batch(), seed in any::<u64>()) {
         let (store, enc) = ldg_encoder(seed);
-        let mut per: Vec<GradBits2> = Vec::new();
+        let mut per: Vec<RowBits2> = Vec::new();
         for g in &graphs {
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
-            let o = enc.forward(&mut tape, &mut ctx, &store, g);
+            let o = enc.forward_batch(&mut tape, &mut ctx, &store, &ldg_one(g));
             per.push((row_bits(tape.value(o.logits)), row_bits(tape.value(o.embedding))));
         }
         let refs: Vec<&GraphTensors> = graphs.iter().collect();
@@ -168,23 +178,24 @@ proptest! {
     }
 
     /// GSG: the gradient on the packed input leaf decomposes exactly into
-    /// the per-account input gradients (same loss, same accumulation bits).
+    /// the input gradients of the one-graph packs (same loss, same
+    /// accumulation bits).
     #[test]
     fn gsg_batched_input_gradients_decompose(graphs in arb_batch(), seed in any::<u64>()) {
         let (store, enc) = gsg_encoder(seed);
         let targets: Vec<usize> = graphs.iter().map(|g| g.n % 2).collect();
-        // per-account leaves, shared tape, loss over the concatenated logits
+        // one-graph packs with their own leaves, shared tape, loss over the
+        // concatenated logits
         let per: Vec<u32> = {
             let mut tape = Tape::new();
             let mut ctx = Ctx::new(&store);
             let mut leaves = Vec::new();
             let mut logits: Option<Var> = None;
             for g in &graphs {
-                let xg = tape.leaf(g.x.clone());
+                let one = gsg_one(g);
+                let xg = tape.leaf(one.x.clone());
                 leaves.push(xg);
-                let o = enc.forward_parts_with_x(
-                    &mut tape, &mut ctx, &store, g.n, xg, &g.src, &g.dst, &g.edge_feat,
-                );
+                let o = enc.forward_batch_with_x(&mut tape, &mut ctx, &store, &one, xg);
                 logits = Some(match logits {
                     None => o.logits,
                     Some(acc) => tape.concat_rows(acc, o.logits),
@@ -195,7 +206,7 @@ proptest! {
             leaves
                 .iter()
                 .flat_map(|&l| {
-                    tape.grad(l).expect("per-account x grad").data().iter().map(|v| v.to_bits())
+                    tape.grad(l).expect("one-graph x grad").data().iter().map(|v| v.to_bits())
                 })
                 .collect()
         };
@@ -222,9 +233,10 @@ proptest! {
             let mut leaves = Vec::new();
             let mut logits: Option<Var> = None;
             for g in &graphs {
-                let xg = tape.leaf(g.x.clone());
+                let one = ldg_one(g);
+                let xg = tape.leaf(one.x.clone());
                 leaves.push(xg);
-                let o = enc.forward_with_x(&mut tape, &mut ctx, &store, g, xg);
+                let o = enc.forward_batch_with_x(&mut tape, &mut ctx, &store, &one, xg);
                 logits = Some(match logits {
                     None => o.logits,
                     Some(acc) => tape.concat_rows(acc, o.logits),
@@ -235,7 +247,7 @@ proptest! {
             leaves
                 .iter()
                 .flat_map(|&l| {
-                    tape.grad(l).expect("per-account x grad").data().iter().map(|v| v.to_bits())
+                    tape.grad(l).expect("one-graph x grad").data().iter().map(|v| v.to_bits())
                 })
                 .collect()
         };

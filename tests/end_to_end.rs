@@ -6,6 +6,16 @@ use dbg4eth::{run, Dbg4EthConfig};
 use eth_graph::{sample_subgraph, SamplerConfig, TxGraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale, World, WorldConfig, POSITIVE};
 use gnn::GraphTensors;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The run-report registry is process-global: a `run()` on another test
+/// thread while the observability test has metrics on would be recorded
+/// into its report. Every test that calls `run()` holds this lock.
+static RUNS: Mutex<()> = Mutex::new(());
+
+fn exclusive_runs() -> MutexGuard<'static, ()> {
+    RUNS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_scale() -> DatasetScale {
     DatasetScale { exchange: 12, ico_wallet: 0, mining: 0, phish_hack: 12, bridge: 0, defi: 0 }
@@ -54,6 +64,7 @@ fn world_to_subgraph_to_tensors_round_trip() {
 
 #[test]
 fn pipeline_beats_chance_on_separable_data() {
+    let _runs = exclusive_runs();
     let bench = Benchmark::generate(tiny_scale(), SamplerConfig::new(15, 2), 4);
     let out = run(bench.dataset(AccountClass::Exchange), 0.7, &tiny_config());
     // With 12+12 graphs the tiny config will not be perfect, but it must be
@@ -64,6 +75,7 @@ fn pipeline_beats_chance_on_separable_data() {
 
 #[test]
 fn calibration_diagnostics_are_consistent() {
+    let _runs = exclusive_runs();
     let bench = Benchmark::generate(tiny_scale(), SamplerConfig::new(15, 2), 5);
     let out = run(bench.dataset(AccountClass::PhishHack), 0.7, &tiny_config());
     for diag in [out.gsg.as_ref().unwrap(), out.ldg.as_ref().unwrap()] {
@@ -76,6 +88,7 @@ fn calibration_diagnostics_are_consistent() {
 
 #[test]
 fn branch_features_match_split_sizes() {
+    let _runs = exclusive_runs();
     let bench = Benchmark::generate(tiny_scale(), SamplerConfig::new(15, 2), 6);
     let dataset = bench.dataset(AccountClass::Exchange);
     let (train_idx, test_idx) = dataset.split(0.7, tiny_config().seed);
@@ -90,6 +103,7 @@ fn branch_features_match_split_sizes() {
 /// and the emitted run-report must round-trip through the JSON parser.
 #[test]
 fn observability_is_invisible_to_predictions_and_reports_round_trip() {
+    let _runs = exclusive_runs();
     let bench = Benchmark::generate(tiny_scale(), SamplerConfig::new(15, 2), 4);
     let dataset = bench.dataset(AccountClass::Exchange);
     let mut cfg = tiny_config();
