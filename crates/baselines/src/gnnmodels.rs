@@ -66,10 +66,9 @@ impl GcnBaseline {
 
 impl GraphModel for GcnBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        let adj = tape.constant(g.gsg_adj.clone());
         let x = tape.constant(g.x.clone());
-        let h = self.l1.forward(tape, ctx, store, adj, x);
-        let h = self.l2.forward(tape, ctx, store, adj, h);
+        let h = self.l1.forward(tape, ctx, store, &g.gsg_adj, x);
+        let h = self.l2.forward(tape, ctx, store, &g.gsg_adj, h);
         mean_pool_head(tape, ctx, store, &self.head, h)
     }
 }
@@ -187,8 +186,7 @@ impl GraphModel for AppnpBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
         let x = tape.constant(g.x.clone());
         let z0 = self.mlp.forward(tape, ctx, store, x);
-        let adj = tape.constant(g.gsg_adj.clone());
-        let z = appnp_propagate(tape, adj, z0, self.alpha, self.k);
+        let z = appnp_propagate(tape, &g.gsg_adj, z0, self.alpha, self.k);
         mean_pool_head(tape, ctx, store, &self.head, z)
     }
 }
@@ -213,10 +211,9 @@ impl I2BgnnBaseline {
 
 impl GraphModel for I2BgnnBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        let adj = tape.constant(g.gsg_adj.clone());
         let x = tape.constant(g.x.clone());
-        let h = self.l1.forward(tape, ctx, store, adj, x);
-        let h = self.l2.forward(tape, ctx, store, adj, h);
+        let h = self.l1.forward(tape, ctx, store, &g.gsg_adj, x);
+        let h = self.l2.forward(tape, ctx, store, &g.gsg_adj, h);
         let pooled = tape.max_pool_rows(h);
         self.head.forward(tape, ctx, store, pooled)
     }

@@ -6,7 +6,8 @@ use gnn::layers::GcnLayer;
 use gnn::{GraphTensors, GsgBatch, GsgConfig, GsgEncoder, GsgItem};
 use nn::{Activation, Ctx, GruCell, Linear, ParamId, ParamStore};
 use rand::Rng;
-use tensor::{Tape, Tensor, Var};
+use std::sync::Arc;
+use tensor::{Csr, Tape, Tensor, Var};
 
 /// TSGN (Wang et al.): classify the **transaction subgraph network** — the
 /// line graph whose nodes are the original merged edges (with `[w, t]`
@@ -28,50 +29,48 @@ impl TsgnBaseline {
 
     /// Build the line-graph adjacency (normalised with self-loops) and the
     /// per-transaction `[w, t]` features from a lowered subgraph.
-    fn line_graph(g: &GraphTensors) -> (Tensor, Tensor) {
+    fn line_graph(g: &GraphTensors) -> (Arc<Csr>, Tensor) {
         let edges = g.real_edges();
         let e = edges.len();
         if e == 0 {
-            return (Tensor::eye(1), Tensor::zeros(1, 2));
+            return (Arc::new(Csr::from_triplets(1, 1, &[(0, 0, 1.0)])), Tensor::zeros(1, 2));
         }
         let mut feats = Tensor::zeros(e, 2);
         for i in 0..e {
             feats.set(i, 0, g.edge_feat.get(i, 0));
             feats.set(i, 1, g.edge_feat.get(i, 1));
         }
-        let mut adj = Tensor::zeros(e, e);
-        for i in 0..e {
-            for j in (i + 1)..e {
-                let (a, b) = edges[i];
-                let (c, d) = edges[j];
-                if a == c || a == d || b == c || b == d {
-                    adj.set(i, j, 1.0);
-                    adj.set(j, i, 1.0);
-                }
+        // Transactions sharing an endpoint are adjacent; each transaction
+        // is adjacent to itself (the self-loop).
+        let neighbours: Vec<Vec<usize>> = edges
+            .iter()
+            .map(|&(a, b)| {
+                (0..e)
+                    .filter(|&j| {
+                        let (c, d) = edges[j];
+                        a == c || a == d || b == c || b == d
+                    })
+                    .collect()
+            })
+            .collect();
+        // Symmetric normalisation.
+        let deg: Vec<f32> = neighbours.iter().map(|nb| nb.len() as f32).collect();
+        let mut entries = Vec::new();
+        for (r, nb) in neighbours.iter().enumerate() {
+            for &c in nb {
+                entries.push((r, c, 1.0 / (deg[r] * deg[c]).sqrt()));
             }
         }
-        // Symmetric normalisation with self-loops.
-        for i in 0..e {
-            adj.set(i, i, 1.0);
-        }
-        let deg: Vec<f32> = (0..e).map(|r| adj.row(r).iter().sum()).collect();
-        for r in 0..e {
-            for c in 0..e {
-                let v = adj.get(r, c) / (deg[r] * deg[c]).sqrt();
-                adj.set(r, c, v);
-            }
-        }
-        (adj, feats)
+        (Arc::new(Csr::from_triplets(e, e, &entries)), feats)
     }
 }
 
 impl GraphModel for TsgnBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        let (adj_t, feat_t) = Self::line_graph(g);
-        let adj = tape.constant(adj_t);
+        let (adj, feat_t) = Self::line_graph(g);
         let x = tape.constant(feat_t);
-        let h = self.l1.forward(tape, ctx, store, adj, x);
-        let h = self.l2.forward(tape, ctx, store, adj, h);
+        let h = self.l1.forward(tape, ctx, store, &adj, x);
+        let h = self.l2.forward(tape, ctx, store, &adj, h);
         let pooled = tape.mean_pool_rows(h);
         self.head.forward(tape, ctx, store, pooled)
     }
@@ -137,8 +136,7 @@ impl GraphModel for TegDetectorBaseline {
         let mut slice_embs: Option<Var> = None;
         let mut state: Option<Var> = None;
         for t in 0..self.t_slices {
-            let adj_tensor = g.slice_adj.get(t).unwrap_or_else(|| g.slice_adj.last().unwrap());
-            let adj = tape.constant(adj_tensor.clone());
+            let adj = g.slice_adj.get(t).unwrap_or_else(|| g.slice_adj.last().unwrap());
             let u = self.gcn.forward(tape, ctx, store, adj, node_h);
             let pooled = tape.mean_pool_rows(u);
             let new_state = match state {
@@ -208,6 +206,7 @@ mod tests {
         assert_eq!(adj.shape(), (e, e));
         assert_eq!(feats.shape(), (e, 2));
         // Symmetric.
+        let adj = adj.to_dense();
         for i in 0..e {
             for j in 0..e {
                 assert!((adj.get(i, j) - adj.get(j, i)).abs() < 1e-6);

@@ -99,7 +99,7 @@ impl GraphModel for GritBaseline {
 
         // Additive structural bias: b · Â (learned scalar times normalised
         // adjacency).
-        let adj = tape.constant(g.gsg_adj.clone());
+        let adj = tape.constant(g.gsg_adj.to_dense());
         let b = ctx.var(tape, store, self.adj_bias);
         let ones = tape.constant(Tensor::ones(g.n, 1));
         let b_col = tape.matmul(ones, b); // (n, 1) of b

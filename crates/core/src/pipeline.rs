@@ -420,8 +420,8 @@ pub(crate) fn encode_with_models(
         // Sparse-workload gauges: how much adjacency the CSR kernels chew
         // through per encode. Sums over the whole dataset, so the values
         // are thread-count independent.
-        let gsg_nnz: usize = tensors.iter().map(|t| t.gsg_adj_csr.nnz()).sum();
-        let ldg_nnz: usize = tensors.iter().flat_map(|t| &t.slice_adj_csr).map(|c| c.nnz()).sum();
+        let gsg_nnz: usize = tensors.iter().map(|t| t.gsg_adj.nnz()).sum();
+        let ldg_nnz: usize = tensors.iter().flat_map(|t| &t.slice_adj).map(|c| c.nnz()).sum();
         obs::gauge_set("pipeline.encode.graphs", tensors.len() as f64);
         obs::gauge_set("pipeline.encode.gsg_nnz", gsg_nnz as f64);
         obs::gauge_set("pipeline.encode.ldg_nnz", ldg_nnz as f64);

@@ -208,7 +208,7 @@ impl LdgBatch {
         let mut x_data = Vec::new();
         let mut center_rows = Vec::with_capacity(b);
         for g in graphs {
-            assert!(!g.slice_adj_csr.is_empty(), "LDG needs time slices");
+            assert!(!g.slice_adj.is_empty(), "LDG needs time slices");
             assert_eq!(g.x.cols(), d, "node feature widths must agree across the batch");
             let base = *offsets.last().unwrap();
             x_data.extend_from_slice(g.x.data());
@@ -223,10 +223,7 @@ impl LdgBatch {
                 let blocks: Vec<&Csr> = graphs
                     .iter()
                     .map(|g| {
-                        g.slice_adj_csr
-                            .get(t)
-                            .unwrap_or_else(|| g.slice_adj_csr.last().unwrap())
-                            .as_ref()
+                        g.slice_adj.get(t).unwrap_or_else(|| g.slice_adj.last().unwrap()).as_ref()
                     })
                     .collect();
                 let packed = Csr::block_diagonal(&blocks);
@@ -306,7 +303,7 @@ mod tests {
     fn ldg_pack_repeats_last_slice_and_counts_nnz() {
         let g0 = toy(3, 0);
         let g1 = toy(4, 1);
-        let t = g0.slice_adj_csr.len().max(g1.slice_adj_csr.len()) + 2;
+        let t = g0.slice_adj.len().max(g1.slice_adj.len()) + 2;
         let batch = LdgBatch::pack(&[&g0, &g1], t);
         assert_eq!(batch.slice_csr.len(), t);
         for csr in &batch.slice_csr {
@@ -315,7 +312,7 @@ mod tests {
         // Slices beyond each graph's list repeat its last adjacency: graph 0's
         // block of the final packed slice equals its own last slice.
         let last = batch.slice_csr[t - 1].to_dense();
-        let g0_last = g0.slice_adj_csr.last().unwrap().to_dense();
+        let g0_last = g0.slice_adj.last().unwrap().to_dense();
         for r in 0..3 {
             for c in 0..3 {
                 assert_eq!(last.get(r, c).to_bits(), g0_last.get(r, c).to_bits());

@@ -134,7 +134,7 @@ impl LdgEncoder {
         for (i, stage) in self.assign.iter().enumerate() {
             // Eq. 19: M_t = softmax(GNN(A_t, h_t)), per graph.
             let scores = match adj {
-                None => stage.forward_csr(tape, ctx, store, adj_csr, h),
+                None => stage.forward(tape, ctx, store, adj_csr, h),
                 Some(a) => stage.forward_blocked(tape, ctx, store, a, h),
             };
             let m = tape.softmax_rows(scores);
@@ -190,7 +190,7 @@ impl LdgEncoder {
             // Eq. 14: topological features from the previous evolutionary
             // state. Eqs. 15-18: GRU update. Both are row-local (SpMM never
             // crosses block-diagonal boundaries).
-            let u_t = self.gcn.forward_csr(tape, ctx, store, adj_csr, h);
+            let u_t = self.gcn.forward(tape, ctx, store, adj_csr, h);
             h = self.gru.forward(tape, ctx, store, u_t, h);
             // Eqs. 19-21: per-slice hierarchical pooling, `(B, hidden)`.
             let p = self.pool_slice_batch(tape, ctx, store, adj_csr, h, &batch.offsets, b);

@@ -12,22 +12,20 @@ use tensor::{Csr, Tensor};
 ///   node** (appended at the end), for attention-style layers,
 /// * `edge_feat` — per-edge features `[log(1+w), log(1+t)]`, zeros for the
 ///   self-loops (Section III-B3's `r_ij = [w, t]`),
-/// * `gsg_adj` — symmetrically normalised weighted adjacency for GCN-style
-///   layers on the static view,
+/// * `gsg_adj` — symmetrically normalised weighted adjacency of the static
+///   view, for GCN-style layers,
 /// * `slice_adj` — per-time-slice normalised adjacencies for the LDG.
+///
+/// Both adjacencies are built once, straight from the edge lists, as shared
+/// [`Csr`] matrices (see [`gcn_norm_adjacency`]).
 pub struct GraphTensors {
     pub n: usize,
     pub x: Tensor,
     pub src: Arc<Vec<usize>>,
     pub dst: Arc<Vec<usize>>,
     pub edge_feat: Tensor,
-    pub gsg_adj: Tensor,
-    pub slice_adj: Vec<Tensor>,
-    /// CSR view of `gsg_adj`, built once at lowering for sparse message
-    /// passing; the dense sibling is kept for baselines that consume it.
-    pub gsg_adj_csr: Arc<Csr>,
-    /// CSR views of `slice_adj`, one per time slice (the LDG hot path).
-    pub slice_adj_csr: Vec<Arc<Csr>>,
+    pub gsg_adj: Arc<Csr>,
+    pub slice_adj: Vec<Arc<Csr>>,
     /// The centre account's transaction sequence, time-ordered and capped at
     /// [`CENTER_SEQ_LEN`] rows of `[log-value, direction, log-fee,
     /// normalised time, is-contract-call]` — consumed by sequence models
@@ -106,18 +104,16 @@ impl GraphTensors {
             src.push(v);
             dst.push(v);
         }
-        let gsg_adj = gcn_norm_adjacency(n, &weighted);
-        let slice_adj: Vec<Tensor> = graph
+        let gsg_adj = Arc::new(gcn_norm_adjacency(n, &weighted));
+        let slice_adj = graph
             .time_slices(t_slices)
             .into_iter()
             .map(|s| {
                 let edges: Vec<(usize, usize, f64)> =
                     s.edges.iter().map(|&(u, v, w)| (u, v, log_scale_weight(w))).collect();
-                gcn_norm_adjacency(n, &edges)
+                Arc::new(gcn_norm_adjacency(n, &edges))
             })
             .collect();
-        let gsg_adj_csr = Arc::new(Csr::from_dense(&gsg_adj));
-        let slice_adj_csr = slice_adj.iter().map(|a| Arc::new(Csr::from_dense(a))).collect();
         Self {
             n,
             x,
@@ -126,8 +122,6 @@ impl GraphTensors {
             edge_feat,
             gsg_adj,
             slice_adj,
-            gsg_adj_csr,
-            slice_adj_csr,
             center_seq: build_center_seq(graph),
             label: graph.label,
         }
@@ -226,6 +220,7 @@ mod tests {
         for a in &t.slice_adj {
             assert_eq!(a.shape(), (3, 3));
             // Normalised adjacency always has positive diagonal.
+            let a = a.to_dense();
             for i in 0..3 {
                 assert!(a.get(i, i) > 0.0);
             }
@@ -246,13 +241,23 @@ mod tests {
     }
 
     #[test]
-    fn csr_views_match_dense_adjacencies_bitwise() {
+    fn adjacencies_are_built_from_the_merged_and_sliced_edges() {
         let g = graph();
         let t = GraphTensors::from_subgraph(&g, 4);
-        assert_eq!(t.gsg_adj_csr.to_dense().to_bits_vec(), t.gsg_adj.to_bits_vec());
-        assert_eq!(t.slice_adj_csr.len(), t.slice_adj.len());
-        for (c, d) in t.slice_adj_csr.iter().zip(&t.slice_adj) {
-            assert_eq!(c.to_dense().to_bits_vec(), d.to_bits_vec());
+        let weighted: Vec<(usize, usize, f64)> = g
+            .merged_edges()
+            .iter()
+            .map(|e| (e.src, e.dst, log_scale_weight(e.total_value)))
+            .collect();
+        assert_eq!(*t.gsg_adj, gcn_norm_adjacency(3, &weighted));
+        // Edges (0,1) and (2,0) plus three self-loops, both directions.
+        assert_eq!(t.gsg_adj.nnz(), 7);
+        let slices = g.time_slices(4);
+        assert_eq!(t.slice_adj.len(), slices.len());
+        for (a, s) in t.slice_adj.iter().zip(&slices) {
+            let edges: Vec<(usize, usize, f64)> =
+                s.edges.iter().map(|&(u, v, w)| (u, v, log_scale_weight(w))).collect();
+            assert_eq!(**a, gcn_norm_adjacency(3, &edges));
         }
     }
 

@@ -1,7 +1,8 @@
 //! Message-passing layers: GCN, GAT, GIN, GraphSAGE and APPNP propagation.
 //!
-//! All layers are built on the autodiff tape; adjacency matrices enter as
-//! constant leaves.
+//! All layers are built on the autodiff tape. The normalised adjacencies
+//! GCN and APPNP propagate over stay off it as shared constant [`Csr`]
+//! matrices; the GIN and GraphSAGE operators enter as dense constant leaves.
 
 use nn::{Activation, Ctx, Linear, Mlp, ParamId, ParamStore};
 use rand::Rng;
@@ -26,24 +27,11 @@ impl GcnLayer {
         Self { linear: Linear::new(store, rng, name, d_in, d_out, act) }
     }
 
-    /// `adj` must be an `(n, n)` constant leaf on the same tape.
+    /// `Â H` with the adjacency off the tape as a constant [`Csr`]:
+    /// O(nnz · d) per product, bit-identical to the dense zero-skipping
+    /// matmul (see the ordering contract on [`Csr`]), and the adjacency
+    /// never gets a gradient.
     pub fn forward(
-        &self,
-        tape: &mut Tape,
-        ctx: &mut Ctx,
-        store: &ParamStore,
-        adj: Var,
-        h: Var,
-    ) -> Var {
-        let agg = tape.matmul(adj, h);
-        self.linear.forward(tape, ctx, store, agg)
-    }
-
-    /// Sparse variant of [`GcnLayer::forward`]: the adjacency stays off the
-    /// tape as a constant [`Csr`]. Bit-identical to the dense path (see the
-    /// ordering contract on [`Csr`]), but `Â H` costs O(nnz · d) instead of
-    /// O(n² · d) and the never-read adjacency gradient is skipped.
-    pub fn forward_csr(
         &self,
         tape: &mut Tape,
         ctx: &mut Ctx,
@@ -55,11 +43,11 @@ impl GcnLayer {
         self.linear.forward(tape, ctx, store, agg)
     }
 
-    /// Batched variant of [`GcnLayer::forward`] for a stack of `B` dense
-    /// square adjacencies: `adj` is `(B·c, c)` with block `s` in rows
-    /// `s·c..(s+1)·c`, and `h` is `(B·c, d)`. Each block's product is
-    /// bit-identical to the per-graph dense path (see
-    /// `Tape::seg_block_matmul`).
+    /// The same layer over a stack of `B` dense square adjacencies on the
+    /// tape — the learned, pooled graphs of DiffPool's later stages: `adj`
+    /// is `(B·c, c)` with block `s` in rows `s·c..(s+1)·c`, and `h` is
+    /// `(B·c, d)`. Each block's product is bit-identical to a per-graph
+    /// dense matmul (see `Tape::seg_block_matmul`).
     pub fn forward_blocked(
         &self,
         tape: &mut Tape,
@@ -244,10 +232,10 @@ impl SageLayer {
 
 /// APPNP propagation (Klicpera et al.): `Z ← (1 − α) Â Z + α Z₀`, iterated
 /// `k` times after a feature MLP (which the caller owns).
-pub fn appnp_propagate(tape: &mut Tape, adj: Var, z0: Var, alpha: f32, k: usize) -> Var {
+pub fn appnp_propagate(tape: &mut Tape, adj: &Arc<Csr>, z0: Var, alpha: f32, k: usize) -> Var {
     let mut z = z0;
     for _ in 0..k {
-        let prop = tape.matmul(adj, z);
+        let prop = tape.spmm(adj, z);
         let scaled = tape.scale(prop, 1.0 - alpha);
         let teleport = tape.scale(z0, alpha);
         z = tape.add(scaled, teleport);
@@ -277,9 +265,9 @@ mod tests {
         let layer = GcnLayer::new(&mut store, &mut rng, "g", 4, 8, Activation::Relu);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let adj = tape.leaf(Tensor::eye(3));
+        let adj = Arc::new(Csr::from_dense(&Tensor::eye(3)));
         let h = tape.leaf(Tensor::ones(3, 4));
-        let out = layer.forward(&mut tape, &mut ctx, &store, adj, h);
+        let out = layer.forward(&mut tape, &mut ctx, &store, &adj, h);
         assert_eq!(tape.value(out).shape(), (3, 8));
     }
 
@@ -294,7 +282,8 @@ mod tests {
         let mut cd = Ctx::new(&store);
         let adj = td.leaf(adj_dense.clone());
         let hd = td.leaf(h0.clone());
-        let outd = layer.forward(&mut td, &mut cd, &store, adj, hd);
+        let agg = td.matmul(adj, hd);
+        let outd = layer.linear.forward(&mut td, &mut cd, &store, agg);
         let lossd = td.sum_all(outd);
         td.backward(lossd);
 
@@ -302,7 +291,7 @@ mod tests {
         let mut ts = Tape::new();
         let mut cs = Ctx::new(&store);
         let hs = ts.leaf(h0);
-        let outs = layer.forward_csr(&mut ts, &mut cs, &store, &csr, hs);
+        let outs = layer.forward(&mut ts, &mut cs, &store, &csr, hs);
         let losss = ts.sum_all(outs);
         ts.backward(losss);
 
@@ -377,11 +366,11 @@ mod tests {
     #[test]
     fn appnp_zero_alpha_is_pure_propagation_one_is_identity() {
         let mut tape = Tape::new();
-        let adj = tape.leaf(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
+        let adj = Arc::new(Csr::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]));
         let z0 = tape.leaf(Tensor::from_vec(2, 1, vec![1.0, 0.0]));
-        let z_id = appnp_propagate(&mut tape, adj, z0, 1.0, 3);
+        let z_id = appnp_propagate(&mut tape, &adj, z0, 1.0, 3);
         assert_eq!(tape.value(z_id).data(), &[1.0, 0.0]);
-        let z_prop = appnp_propagate(&mut tape, adj, z0, 0.0, 1);
+        let z_prop = appnp_propagate(&mut tape, &adj, z0, 0.0, 1);
         assert_eq!(tape.value(z_prop).data(), &[0.0, 1.0]); // swapped by A
     }
 }

@@ -3,8 +3,10 @@
 //! Hand-rolled message passing on the `tensor` autodiff tape:
 //!
 //! * [`GraphTensors`] — subgraph → tensors lowering (GSG edges with `[w, t]`
-//!   features, per-slice LDG adjacencies),
-//! * [`layers`] — GCN / GAT / GIN / GraphSAGE / APPNP building blocks,
+//!   features; the static and per-slice normalised adjacencies, each built
+//!   once as a CSR matrix straight from its edge list),
+//! * [`layers`] — GCN / GAT / GIN / GraphSAGE / APPNP building blocks; GCN
+//!   and APPNP propagate over the CSR adjacencies with `Tape::spmm`,
 //! * [`GsgEncoder`] — the global static encoder: alignment (Eq. 6),
 //!   node-level attention (Eqs. 7-9), graph-level attention pooling
 //!   (Eqs. 10-13),

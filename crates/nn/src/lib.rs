@@ -4,7 +4,8 @@
 //! reproduction:
 //!
 //! * [`ParamStore`] / [`Ctx`] — persistent parameters bridged onto a fresh
-//!   autodiff tape each forward pass,
+//!   autodiff tape each forward pass; a store persists as a checksummed
+//!   `model-io` section (`write_section` / `read_section`),
 //! * [`Adam`] / [`Sgd`] — optimisers,
 //! * [`Linear`], [`Mlp`], [`GruCell`] — layers (the GRU implements the
 //!   paper's Eqs. 15-18 exactly),

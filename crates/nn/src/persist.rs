@@ -1,107 +1,16 @@
-//! Saving and loading a [`ParamStore`] — simple self-describing binary
-//! format, no external dependencies.
-//!
-//! Layout (little-endian):
-//! ```text
-//! magic "DBGW" | version u32 | n_params u32 |
-//!   per param: name_len u32 | name bytes | rows u32 | cols u32 | data f32…
-//! ```
+//! Persisting a [`ParamStore`]: the checksummed `model-io` section codec
+//! ([`ParamStore::write_section`] / [`ParamStore::read_section`]), the only
+//! format model weights are stored in, and name-matched restoring from
+//! another store.
 
 use crate::params::{ParamId, ParamStore};
 use model_io::{ModelIoError, SectionReader, SectionWriter};
-use std::io::{self, Read, Write};
-use std::path::Path;
 use tensor::Tensor;
 
-const MAGIC: &[u8; 4] = b"DBGW";
-const VERSION: u32 = 1;
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 impl ParamStore {
-    /// Serialise all parameters (values only; gradients and optimiser state
-    /// are training-time artefacts).
-    pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        write_u32(w, VERSION)?;
-        write_u32(w, self.len() as u32)?;
-        for id in self.ids() {
-            let name = self.name(id).as_bytes();
-            write_u32(w, name.len() as u32)?;
-            w.write_all(name)?;
-            let t = self.value(id);
-            write_u32(w, t.rows() as u32)?;
-            write_u32(w, t.cols() as u32)?;
-            for &x in t.data() {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Save to a file.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-        self.save(&mut f)?;
-        f.flush()
-    }
-
-    /// Deserialise a store written by [`ParamStore::save`].
-    pub fn load(r: &mut impl Read) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-        }
-        let version = read_u32(r)?;
-        if version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported version {version}"),
-            ));
-        }
-        let n = read_u32(r)? as usize;
-        let mut store = ParamStore::new();
-        for _ in 0..n {
-            let name_len = read_u32(r)? as usize;
-            if name_len > 1 << 20 {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "name too long"));
-            }
-            let mut name = vec![0u8; name_len];
-            r.read_exact(&mut name)?;
-            let name = String::from_utf8(name)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let rows = read_u32(r)? as usize;
-            let cols = read_u32(r)? as usize;
-            if rows.saturating_mul(cols) > 1 << 28 {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "tensor too large"));
-            }
-            let mut data = Vec::with_capacity(rows * cols);
-            let mut buf = [0u8; 4];
-            for _ in 0..rows * cols {
-                r.read_exact(&mut buf)?;
-                data.push(f32::from_le_bytes(buf));
-            }
-            store.add(name, Tensor::from_vec(rows, cols, data));
-        }
-        Ok(store)
-    }
-
-    /// Load from a file.
-    pub fn load_from(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::load(&mut io::BufReader::new(std::fs::File::open(path)?))
-    }
-
     /// Serialise all parameters into a checksummed `model-io` section:
-    /// `n_params u32 | per param: name | rows u32 | cols u32 | f32 bits`.
+    /// `n_params u32 | per param: name | rows u32 | cols u32 | len u64 |
+    /// f32 bits`.
     /// Weights travel as IEEE-754 bit patterns, so a save→load round trip
     /// reproduces every value exactly (the byte-identity contract of
     /// `dbg4eth::Session::score` depends on this).
@@ -179,38 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        let loaded = ParamStore::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), store.len());
-        for (a, b) in store.ids().zip(loaded.ids()) {
-            assert_eq!(store.name(a), loaded.name(b));
-            assert_eq!(store.value(a), loaded.value(b));
-        }
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let result = ParamStore::load(&mut &b"NOPE\x01\x00\x00\x00"[..]);
-        match result {
-            Err(err) => assert_eq!(err.kind(), io::ErrorKind::InvalidData),
-            Ok(_) => panic!("bad magic accepted"),
-        }
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        // (uses unwrap_err via is_err to avoid Debug bound on ParamStore)
-        let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(ParamStore::load(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
     fn restore_by_name_and_shape() {
         let saved = sample_store();
         // A fresh model with the same architecture but different init.
@@ -233,15 +110,5 @@ mod tests {
         fresh.zeros("layer1.w", 2, 2); // wrong shape
         fresh.zeros("unknown", 1, 1); // absent from saved
         assert_eq!(fresh.restore_from(&saved), 0);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let store = sample_store();
-        let path = std::env::temp_dir().join("dbg4eth_params_test.bin");
-        store.save_to(&path).unwrap();
-        let loaded = ParamStore::load_from(&path).unwrap();
-        assert_eq!(loaded.len(), store.len());
-        let _ = std::fs::remove_file(&path);
     }
 }

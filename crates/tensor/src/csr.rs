@@ -52,6 +52,10 @@ impl Csr {
     /// Build from a dense matrix, keeping entries with `v != 0.0` — the
     /// exact complement of the dense matmul's zero skip, so `-0.0` entries
     /// are dropped while subnormals and NaNs are kept.
+    ///
+    /// Graph lowering never materialises a dense adjacency; this is the
+    /// reference conversion tests and benches check sparse builders and
+    /// kernels against.
     pub fn from_dense(a: &Tensor) -> Self {
         let (rows, cols) = a.shape();
         let mut row_ptr = Vec::with_capacity(rows + 1);

@@ -1,10 +1,17 @@
 //! Integration tests across methods (DBG4ETH vs baselines) on a shared tiny
 //! benchmark — the code path behind Table III at smoke-test scale.
 
-use baselines::{run_baseline, Baseline, BaselineConfig};
+use baselines::{
+    predict_model, run_baseline, train_model, AppnpBaseline, Baseline, BaselineConfig, GcnBaseline,
+    GraphModel, GritBaseline, I2BgnnBaseline, LoweredDataset, TegDetectorBaseline, TsgnBaseline,
+};
+use bench::f64_bits_digest;
 use dbg4eth::{run, Dbg4EthConfig};
 use eth_graph::SamplerConfig;
 use eth_sim::{AccountClass, Benchmark, DatasetScale};
+use nn::ParamStore;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn tiny() -> Benchmark {
     let scale =
@@ -88,4 +95,54 @@ fn dbg4eth_is_competitive_with_single_branch_ablations() {
         full.metrics.f1,
         gsg_only.metrics.f1
     );
+}
+
+/// Train a freshly built baseline on `lowered`'s train split and digest the
+/// bit patterns of its test-split probabilities.
+fn prediction_digest<M: GraphModel>(
+    lowered: &LoweredDataset,
+    cfg: &BaselineConfig,
+    build: impl FnOnce(&mut ParamStore, &mut StdRng) -> M,
+) -> u64 {
+    let mut store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(cfg.train.seed ^ 0xBA5E11);
+    let model = build(&mut store, &mut rng);
+    train_model(&model, &mut store, &lowered.train_graphs(), cfg.train);
+    f64_bits_digest(&predict_model(&model, &store, &lowered.test_graphs()))
+}
+
+#[test]
+fn adjacency_baselines_output_bits_are_pinned() {
+    // Every baseline that propagates over a normalised adjacency, trained
+    // and scored on the tiny dataset. The digests pin how adjacencies are
+    // stored and multiplied: changing the representation must not move a
+    // single bit of any prediction.
+    let bench = tiny();
+    let d = bench.dataset(AccountClass::Exchange);
+    let cfg = tiny_baseline_config();
+    let lowered = LoweredDataset::new(d, cfg.t_slices, true, 0.7, cfg.train.seed);
+    let (d_in, h, t) = (lowered.tensors[0].x.cols(), cfg.hidden, cfg.t_slices);
+    let got = [
+        ("GCN", prediction_digest(&lowered, &cfg, |s, r| GcnBaseline::new(s, r, d_in, h))),
+        ("APPNP", prediction_digest(&lowered, &cfg, |s, r| AppnpBaseline::new(s, r, d_in, h))),
+        ("I2BGNN", prediction_digest(&lowered, &cfg, |s, r| I2BgnnBaseline::new(s, r, d_in, h))),
+        (
+            "TEGDetector",
+            prediction_digest(&lowered, &cfg, |s, r| TegDetectorBaseline::new(s, r, d_in, h, t)),
+        ),
+        ("GRIT", prediction_digest(&lowered, &cfg, |s, r| GritBaseline::new(s, r, d_in, h))),
+        ("TSGN", prediction_digest(&lowered, &cfg, |s, r| TsgnBaseline::new(s, r, h))),
+    ];
+    let want = [
+        ("GCN", 0x82af_1251_1b15_42f6),
+        ("APPNP", 0x6122_c721_26ca_3c4e),
+        ("I2BGNN", 0x5ccd_8c4a_5807_e914),
+        ("TEGDetector", 0x62f8_3061_63b4_36de),
+        ("GRIT", 0x6a31_132d_a2a2_24b3),
+        ("TSGN", 0x3356_bf17_bb39_ad18),
+    ];
+    for ((name, g), (_, w)) in got.iter().zip(&want) {
+        println!("{name}: got {g:#018x}, want {w:#018x}");
+    }
+    assert_eq!(got, want);
 }

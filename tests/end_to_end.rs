@@ -53,7 +53,13 @@ fn world_to_subgraph_to_tensors_round_trip() {
         let t = GraphTensors::from_subgraph(&sg, 6);
         assert_eq!(t.n, sg.n());
         assert_eq!(t.slice_adj.len(), 6);
-        assert_eq!(t.gsg_adj.shape(), (sg.n(), sg.n()));
+        for adj in std::iter::once(&t.gsg_adj).chain(&t.slice_adj) {
+            assert_eq!(adj.shape(), (sg.n(), sg.n()));
+            // Sparse: every self-loop plus at most both directions of
+            // each merged edge.
+            assert!(adj.nnz() >= sg.n());
+            assert!(adj.nnz() <= sg.n() + 2 * sg.merged_edges().len());
+        }
         // Value conservation: sum of slice edge mass equals merged mass.
         let merged_total: f64 = sg.merged_edges().iter().map(|e| e.total_value).sum();
         let slices_total: f64 =
