@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the computational kernels behind every
 //! table and figure: sampling (Table II), feature extraction (Table I,
 //! Figs. 4-5), GSG / LDG training steps (Tables III-VI, Figs. 8-9),
-//! augmentation (Fig. 9a), calibration (Fig. 6), classifiers (Fig. 7) and
-//! walk embeddings (Table III rows 1-2, 12).
+//! augmentation (Fig. 9a), calibration (Fig. 6), classifiers (Fig. 7),
+//! walk embeddings (Table III rows 1-2, 12) and the Strict activation
+//! kernels of the GSG / LDG forward.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -180,11 +181,57 @@ fn bench_generation(c: &mut Criterion) {
     });
 }
 
+/// GRU / GAT activation kernels on one 94×64 activation (the mean pool
+/// account's node count by the LDG hidden width): the Strict profile's
+/// vectorised glibc ports as the tape runs them (copy, then the in-place
+/// kernel), each beside the scalar libm loop they replace. Both produce the
+/// same bits.
+fn bench_activations(c: &mut Criterion) {
+    let mut state = 0x9e37_79b9_u32;
+    let x: Vec<f32> = (0..94 * 64)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / (1u32 << 24) as f32 * 6.0 - 3.0
+        })
+        .collect();
+    let mut out = vec![0.0f32; x.len()];
+    c.bench_function("activations/strict_tanh", |b| {
+        b.iter(|| {
+            out.copy_from_slice(black_box(&x));
+            tensor::exact::tanh_in_place(&mut out);
+            black_box(out[0])
+        })
+    });
+    c.bench_function("activations/libm_tanh", |b| {
+        b.iter(|| {
+            for (o, &v) in out.iter_mut().zip(black_box(&x)) {
+                *o = v.tanh();
+            }
+            black_box(out[0])
+        })
+    });
+    c.bench_function("activations/strict_sigmoid", |b| {
+        b.iter(|| {
+            out.copy_from_slice(black_box(&x));
+            tensor::exact::sigmoid_in_place(&mut out);
+            black_box(out[0])
+        })
+    });
+    c.bench_function("activations/libm_sigmoid", |b| {
+        b.iter(|| {
+            for (o, &v) in out.iter_mut().zip(black_box(&x)) {
+                *o = 1.0 / (1.0 + (-v).exp());
+            }
+            black_box(out[0])
+        })
+    });
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_sampling, bench_features, bench_gsg_step, bench_ldg_step,
         bench_augment, bench_calibration, bench_gbdt, bench_embedding,
-        bench_generation
+        bench_generation, bench_activations
 }
 criterion_main!(kernels);

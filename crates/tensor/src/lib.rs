@@ -24,6 +24,7 @@
 //! ```
 
 mod csr;
+pub mod exact;
 mod profile;
 mod tape;
 mod tensor;

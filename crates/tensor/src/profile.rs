@@ -8,10 +8,15 @@
 //! (register-blocked) accumulation.
 //!
 //! [`NumericsProfile`] makes the trade explicit. [`NumericsProfile::Strict`]
-//! (the default) keeps the historical order bit-for-bit.
+//! (the default) keeps the historical order bit-for-bit. Its
+//! transcendentals are the crate's own exact, vectorised ports of glibc's
+//! `tanhf` and `expf` ([`crate::exact`]), so Strict bits do not depend on
+//! the host libm: `tanh`, `sigmoid` and `elu` use them under Strict, and
+//! the exp sites both profiles share (`softmax_into` / `softmax_rows`,
+//! `segment_softmax`, `cross_entropy`) use them under either.
 //! [`NumericsProfile::Fast`] lets the dense GEMM kernels use FMA and
-//! reassociation, and swaps the scalar libm transcendentals in the
-//! exp-based activations for the polynomial [`fast_exp`] family below;
+//! reassociation, and swaps the exact transcendentals in the exp-based
+//! activations for the polynomial [`fast_exp`] family below;
 //! results differ from Strict by rounding only, and the
 //! workspace's statistical-tolerance harness (`tests/tolerance.rs` in the
 //! root crate) bounds the end-to-end drift. Fast remains deterministic for a

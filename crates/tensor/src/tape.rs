@@ -28,6 +28,7 @@
 //! fresh-allocation run.
 
 use crate::csr::Csr;
+use crate::exact;
 use crate::profile::NumericsProfile;
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -200,6 +201,13 @@ fn pooled_map(pool: &mut BufferPool, src: &Tensor, f: impl Fn(f32) -> f32) -> Te
     for (o, &x) in t.data_mut().iter_mut().zip(src.data()) {
         *o = f(x);
     }
+    t
+}
+
+/// A pooled copy of `src` with `kernel` applied to it in place.
+fn pooled_apply(pool: &mut BufferPool, src: &Tensor, kernel: fn(&mut [f32])) -> Tensor {
+    let mut t = pooled_copy(pool, src);
+    kernel(t.data_mut());
     t
 }
 
@@ -584,13 +592,12 @@ impl Tape {
                 }
             })
         } else {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * (x.exp() - 1.0)
-                }
-            })
+            let x = &self.nodes[a.0].value;
+            let mut v = pooled_apply(&mut self.pool, x, exact::exp_in_place);
+            for (o, &x) in v.data_mut().iter_mut().zip(x.data()) {
+                *o = if x > 0.0 { x } else { alpha * (*o - 1.0) };
+            }
+            v
         };
         self.push(v, Op::Elu(a.0, alpha))
     }
@@ -601,15 +608,15 @@ impl Tape {
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        // Strict keeps libm's tanh bit-for-bit; Fast swaps in the
-        // vectorizable exp2-polynomial approximation (the tolerance harness
-        // bounds the end-to-end drift). Backward uses the stored output in
-        // both cases, so gradients stay consistent with whichever forward
-        // produced them.
+        // Strict is glibc's tanhf bit-for-bit (the crate's own vectorised
+        // port); Fast swaps in the exp2-polynomial approximation (the
+        // tolerance harness bounds the end-to-end drift). Backward uses the
+        // stored output in both cases, so gradients stay consistent with
+        // whichever forward produced them.
         let v = if self.profile.is_fast() {
             pooled_map(&mut self.pool, &self.nodes[a.0].value, crate::profile::fast_tanh)
         } else {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, f32::tanh)
+            pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::tanh_in_place)
         };
         self.push(v, Op::Tanh(a.0))
     }
@@ -618,7 +625,7 @@ impl Tape {
         let v = if self.profile.is_fast() {
             pooled_map(&mut self.pool, &self.nodes[a.0].value, crate::profile::fast_sigmoid)
         } else {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| 1.0 / (1.0 + (-x).exp()))
+            pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::sigmoid_in_place)
         };
         self.push(v, Op::Sigmoid(a.0))
     }
@@ -708,11 +715,13 @@ impl Tape {
         for (r, &s) in seg.iter().enumerate() {
             max[s] = max[s].max(x.get(r, 0));
         }
+        for (r, &s) in seg.iter().enumerate() {
+            v.set(r, 0, x.get(r, 0) - max[s]);
+        }
+        exact::exp_in_place(v.data_mut());
         let mut denom = vec![0.0f32; n_seg];
         for (r, &s) in seg.iter().enumerate() {
-            let e = (x.get(r, 0) - max[s]).exp();
-            v.set(r, 0, e);
-            denom[s] += e;
+            denom[s] += v.get(r, 0);
         }
         for (r, &s) in seg.iter().enumerate() {
             v.set(r, 0, v.get(r, 0) / denom[s].max(1e-30));
@@ -893,11 +902,16 @@ impl Tape {
         let (n, d) = x.shape();
         assert_eq!(targets.len(), n, "cross_entropy target length");
         let mut loss = 0.0f32;
+        let mut e = vec![0.0f32; d];
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < d, "target {t} out of range {d}");
             let row = x.row(r);
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+            for (o, &v) in e.iter_mut().zip(row) {
+                *o = v - m;
+            }
+            exact::exp_in_place(&mut e);
+            let lse = m + e.iter().sum::<f32>().ln();
             loss += lse - row[t];
         }
         let v = pooled_full(&mut self.pool, 1, 1, loss / n as f32);
@@ -1445,11 +1459,15 @@ fn check_offsets(offsets: &[usize], rows: usize) {
 /// Numerically stable softmax of `input` written into `out` — the row
 /// kernel of [`Tape::softmax_rows`], for callers holding plain logits.
 pub fn softmax_into(input: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(input.len(), out.len(), "softmax_into length mismatch");
     let m = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
     for (o, &x) in out.iter_mut().zip(input) {
-        *o = (x - m).exp();
-        sum += *o;
+        *o = x - m;
+    }
+    exact::exp_in_place(out);
+    let mut sum = 0.0;
+    for &o in out.iter() {
+        sum += o;
     }
     let inv = 1.0 / sum.max(1e-30);
     for o in out.iter_mut() {

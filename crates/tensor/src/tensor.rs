@@ -174,7 +174,10 @@ impl Tensor {
     /// memory — but every output element still receives exactly the per-row
     /// sequence of `+= a * b` operations above: tiling changes which
     /// elements are in flight, never the order of any single element's
-    /// accumulation.
+    /// accumulation. Columns past the last whole tile (all of them when
+    /// `other` is narrower than [`MM_JT`], like DiffPool's assignment
+    /// GEMM) run through the same register tile over a zero-padded copy of
+    /// `other`'s tail columns; the padding lanes are discarded.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
@@ -184,58 +187,34 @@ impl Tensor {
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
         let n = other.cols;
         let k_dim = self.cols;
+        let j_tail = n - n % MM_JT;
+        let tail = if j_tail < n && self.rows >= 4 {
+            padded_tail(other, 0..k_dim, j_tail)
+        } else {
+            Vec::new()
+        };
         let mut i = 0;
         while i + 4 <= self.rows {
-            let (a0, a1, a2, a3) = (self.row(i), self.row(i + 1), self.row(i + 2), self.row(i + 3));
+            let a = [self.row(i), self.row(i + 1), self.row(i + 2), self.row(i + 3)];
             let (o0, rest) = out.data[i * n..(i + 4) * n].split_at_mut(n);
             let (o1, rest) = rest.split_at_mut(n);
             let (o2, o3) = rest.split_at_mut(n);
             let mut j = 0;
-            while j + MM_JT <= n {
-                let mut c0 = [0.0f32; MM_JT];
-                let mut c1 = [0.0f32; MM_JT];
-                let mut c2 = [0.0f32; MM_JT];
-                let mut c3 = [0.0f32; MM_JT];
-                for p in 0..k_dim {
-                    let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-                    if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                        continue;
-                    }
-                    let b = &other.row(p)[j..j + MM_JT];
-                    if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
-                        for t in 0..MM_JT {
-                            c0[t] += x0 * b[t];
-                            c1[t] += x1 * b[t];
-                            c2[t] += x2 * b[t];
-                            c3[t] += x3 * b[t];
-                        }
-                    } else {
-                        // Per-row zero skips, exactly as the scalar loop
-                        // decides.
-                        tile_axpy_nonzero(&mut c0, x0, b);
-                        tile_axpy_nonzero(&mut c1, x1, b);
-                        tile_axpy_nonzero(&mut c2, x2, b);
-                        tile_axpy_nonzero(&mut c3, x3, b);
-                    }
-                }
-                o0[j..j + MM_JT].copy_from_slice(&c0);
-                o1[j..j + MM_JT].copy_from_slice(&c1);
-                o2[j..j + MM_JT].copy_from_slice(&c2);
-                o3[j..j + MM_JT].copy_from_slice(&c3);
+            while j < j_tail {
+                let c = strict_tile(a, k_dim, |p| &other.row(p)[j..j + MM_JT]);
+                o0[j..j + MM_JT].copy_from_slice(&c[0]);
+                o1[j..j + MM_JT].copy_from_slice(&c[1]);
+                o2[j..j + MM_JT].copy_from_slice(&c[2]);
+                o3[j..j + MM_JT].copy_from_slice(&c[3]);
                 j += MM_JT;
             }
             if j < n {
-                o0[j..].fill(0.0);
-                o1[j..].fill(0.0);
-                o2[j..].fill(0.0);
-                o3[j..].fill(0.0);
-                for p in 0..k_dim {
-                    let b_row = &other.row(p)[j..];
-                    axpy_nonzero(&mut o0[j..], a0[p], b_row);
-                    axpy_nonzero(&mut o1[j..], a1[p], b_row);
-                    axpy_nonzero(&mut o2[j..], a2[p], b_row);
-                    axpy_nonzero(&mut o3[j..], a3[p], b_row);
-                }
+                let w = n - j;
+                let c = strict_tile(a, k_dim, |p| &tail[p * MM_JT..(p + 1) * MM_JT]);
+                o0[j..].copy_from_slice(&c[0][..w]);
+                o1[j..].copy_from_slice(&c[1][..w]);
+                o2[j..].copy_from_slice(&c[2][..w]);
+                o3[j..].copy_from_slice(&c[3][..w]);
             }
             i += 4;
         }
@@ -350,12 +329,13 @@ impl Tensor {
     /// explicit transpose of the (tall) activation matrix would cost a
     /// strided copy per step.
     /// Like [`Tensor::matmul_into`], 4×16 output tiles accumulate in
-    /// registers. The `p` dimension is additionally processed in L1-sized
-    /// chunks: each chunk reloads the running tile from `out`, extends the
-    /// accumulation, and spills back — so the tall operands stream from
-    /// cache once per chunk sweep instead of once per output tile, while
-    /// every output element still sees the exact scalar sequence
-    /// (`+= a * b` with `p` ascending, zeros of `self` skipped).
+    /// registers, narrow column tails included. The `p` dimension is
+    /// additionally processed in L1-sized chunks: each chunk reloads the
+    /// running tile from `out`, extends the accumulation, and spills back —
+    /// so the tall operands stream from cache once per chunk sweep instead
+    /// of once per output tile, while every output element still sees the
+    /// exact scalar sequence (`+= a * b` with `p` ascending, zeros of `self`
+    /// skipped).
     #[allow(clippy::needless_range_loop)] // r indexes both a_row and out rows
     pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
@@ -370,9 +350,14 @@ impl Tensor {
         // ~`TN_PB * (k + n) * 4` bytes of operand rows per chunk; 256 rows
         // at the typical k = n = 64 is 128 KiB — L2-resident, streamed once.
         const TN_PB: usize = 256;
+        let j_tail = n - n % MM_JT;
+        let mut tail = Vec::new();
         let mut p0 = 0;
         while p0 < m {
             let p1 = (p0 + TN_PB).min(m);
+            if j_tail < n && k >= 4 {
+                tail = padded_tail(other, p0..p1, j_tail);
+            }
             let mut i = 0;
             while i + 4 <= k {
                 let mut j = 0;
@@ -400,11 +385,20 @@ impl Tensor {
                     j += MM_JT;
                 }
                 if j < n {
+                    let w = n - j;
+                    let mut c = [[0.0f32; MM_JT]; 4];
+                    for (r, c) in c.iter_mut().enumerate() {
+                        c[..w].copy_from_slice(&out.row(i + r)[j..]);
+                    }
                     for p in p0..p1 {
                         let a_row = self.row(p);
-                        for r in i..i + 4 {
-                            axpy_nonzero(&mut out.row_mut(r)[j..], a_row[r], &other.row(p)[j..]);
+                        let b = &tail[(p - p0) * MM_JT..(p - p0 + 1) * MM_JT];
+                        for (r, c) in c.iter_mut().enumerate() {
+                            tile_axpy_nonzero(c, a_row[i + r], b);
                         }
+                    }
+                    for (r, c) in c.iter().enumerate() {
+                        out.row_mut(i + r)[j..].copy_from_slice(&c[..w]);
                     }
                 }
                 i += 4;
@@ -648,6 +642,54 @@ fn axpy_nonzero(out: &mut [f32], x: f32, b: &[f32]) {
     }
 }
 
+/// Rows `rows` of `b`'s columns `j..` (fewer than [`MM_JT`] of them), each
+/// zero-padded to a whole register tile: the `b` operand of a narrow-tail
+/// tile, packed so the tile loop reads whole vectors.
+fn padded_tail(b: &Tensor, rows: std::ops::Range<usize>, j: usize) -> Vec<f32> {
+    let w = b.cols - j;
+    debug_assert!(w > 0 && w < MM_JT);
+    let mut tail = vec![0.0f32; rows.len() * MM_JT];
+    for (dst, p) in tail.chunks_exact_mut(MM_JT).zip(rows) {
+        dst[..w].copy_from_slice(&b.row(p)[j..]);
+    }
+    tail
+}
+
+/// One Strict 4×[`MM_JT`] register tile: `c[r][t] += a[r][p] * b(p)[t]`
+/// with `p` ascending from zero-initialised accumulators, zeros of `a`
+/// skipped per row — exactly the scalar loop's per-element sequence.
+#[inline(always)]
+fn strict_tile<'b>(
+    a: [&[f32]; 4],
+    k_dim: usize,
+    b: impl Fn(usize) -> &'b [f32],
+) -> [[f32; MM_JT]; 4] {
+    let [a0, a1, a2, a3] = a;
+    let [mut c0, mut c1, mut c2, mut c3] = [[0.0f32; MM_JT]; 4];
+    for p in 0..k_dim {
+        let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
+        if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
+            continue;
+        }
+        let b = &b(p)[..MM_JT];
+        if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
+            for t in 0..MM_JT {
+                c0[t] += x0 * b[t];
+                c1[t] += x1 * b[t];
+                c2[t] += x2 * b[t];
+                c3[t] += x3 * b[t];
+            }
+        } else {
+            // Per-row zero skips, exactly as the scalar loop decides.
+            tile_axpy_nonzero(&mut c0, x0, b);
+            tile_axpy_nonzero(&mut c1, x1, b);
+            tile_axpy_nonzero(&mut c2, x2, b);
+            tile_axpy_nonzero(&mut c3, x3, b);
+        }
+    }
+    [c0, c1, c2, c3]
+}
+
 /// Column-tile width of the register-blocked matmul kernels: 16 f32 is two
 /// AVX2 vectors, so a 4-row tile holds its partial sums in eight vector
 /// registers with room left for broadcasts and `b` loads.
@@ -815,6 +857,33 @@ mod tests {
                 expected.to_bits_vec(),
                 "bit drift at shape ({m},{k})@({k},{n})"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Every output width 1..=40 (whole 16-wide tiles, narrow tails and
+        /// both), row counts around the 4-row block, and `p` runs longer
+        /// than `matmul_tn_into`'s 256-row chunk: both Strict kernels stay
+        /// bit-identical to the scalar reference loop.
+        #[test]
+        fn strict_kernels_match_reference_at_every_width(
+            (m, k, n, salt) in (1usize..=13, 1usize..=70, 1usize..=40, 0u32..1000)
+        ) {
+            let a = mixed_tensor(m, k, salt);
+            let b = mixed_tensor(k, n, salt.wrapping_mul(31));
+            let mut got = Tensor::zeros(m, n);
+            a.matmul_into(&b, &mut got);
+            proptest::prop_assert_eq!(got.to_bits_vec(), matmul_reference(&a, &b).to_bits_vec());
+
+            let rows = if salt % 4 == 0 { 300 + m } else { m };
+            let a = mixed_tensor(rows, k, salt ^ 7);
+            let b = mixed_tensor(rows, n, salt ^ 11);
+            let mut got = Tensor::zeros(k, n);
+            a.matmul_tn_into(&b, &mut got);
+            let want = matmul_reference(&a.transpose(), &b);
+            proptest::prop_assert_eq!(got.to_bits_vec(), want.to_bits_vec());
         }
     }
 

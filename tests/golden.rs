@@ -1,11 +1,25 @@
 //! Golden-trace regression test.
 //!
 //! A small fixture dataset is committed under `tests/golden/` as plain text
-//! (every float stored as an exact hex bit pattern), together with the
-//! per-account probabilities the full train → save → load → infer pipeline
-//! must produce for it — also as bit patterns. The test fails on **any**
-//! numeric drift, however small: a change that alters a single mantissa bit
-//! anywhere in features, encoders, calibration or boosting shows up here.
+//! (every float stored as an exact hex bit pattern), together with three
+//! pinned traces of the full train → save → load → score pipeline, all as
+//! bit patterns:
+//!
+//! * the per-account served probabilities;
+//! * each test account's GSG and LDG raw score
+//!   ([`BranchScorer::raw_score`], the encoder's log-odds before
+//!   calibration);
+//! * an FNV-1a digest of the serialised model ([`TrainedModel::to_bytes`],
+//!   its one thread-count field pinned), which covers every trained weight
+//!   and every fitted calibrator and GBDT parameter.
+//!
+//! The served probabilities alone are *not* a bit-level tripwire: they are
+//! GBDT outputs over binned features, so a one-ULP drift in an encoder
+//! activation rarely crosses a bin edge and leaves them unchanged. The raw
+//! scores and the model digest carry the encoders' bits straight through,
+//! from training as well as scoring: perturbing every Strict `tanh` output
+//! by one ULP leaves all four probabilities unchanged but fails here, on
+//! account 1's LDG raw score.
 //!
 //! When a change is *supposed* to move the numbers (a new default, a fixed
 //! formula), regenerate the expectations and commit the diff:
@@ -17,9 +31,10 @@
 //! The fixture itself (`fixture.txt`) is never regenerated automatically —
 //! it is the frozen input that makes traces comparable across PRs.
 
-use dbg4eth::{Dbg4EthConfig, InferOptions, Session, TrainedModel};
+use dbg4eth::{BranchScorer, Dbg4EthConfig, FeatureMode, InferOptions, Session, TrainedModel};
 use eth_graph::{AccountKind, LocalTx, Subgraph};
 use eth_sim::{AccountClass, GraphDataset};
+use gnn::GraphTensors;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -128,26 +143,79 @@ fn render_fixture(graphs: &[Subgraph]) -> String {
     out
 }
 
-fn render_expected(probs: &[f64]) -> String {
+/// Everything the golden trace pins for the test split.
+struct Trace {
+    /// Served probability of each test account.
+    probs: Vec<u64>,
+    /// GSG raw score of each test account.
+    gsg: Vec<u64>,
+    /// LDG raw score of each test account.
+    ldg: Vec<u64>,
+    /// FNV-1a 64 of the serialised model.
+    model: u64,
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn render_expected(probs: &[f64], gsg: &[f64], ldg: &[f64], model: u64) -> String {
     let mut out = String::from(
-        "# Expected serving bit patterns for fixture.txt. Regenerate with\n\
+        "# Expected infer() bit patterns for fixture.txt. Regenerate with\n\
          # DBG4ETH_REGEN_GOLDEN=1 cargo test -p dbg4eth --test golden\n",
     );
     for p in probs {
         writeln!(out, "{:016x} # {p:.6}", p.to_bits()).unwrap();
     }
+    out.push_str("# Branch raw scores (BranchScorer::raw_score) of each test account\n");
+    for (tag, raw) in [("gsg", gsg), ("ldg", ldg)] {
+        for v in raw {
+            writeln!(out, "{tag} {:016x} # {v:.6}", v.to_bits()).unwrap();
+        }
+    }
+    out.push_str("# FNV-1a 64 of TrainedModel::to_bytes()\n");
+    writeln!(out, "model {model:016x}").unwrap();
     out
 }
 
-fn parse_expected(text: &str) -> Vec<u64> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let tok = l.split_whitespace().next().unwrap();
-            u64::from_str_radix(tok, 16).expect("hex f64 bits")
-        })
-        .collect()
+/// FNV-1a 64 of the model container, with the classifier's recorded
+/// training thread count pinned to 1: that field is run metadata, which
+/// `DBG4ETH_THREADS` overrides, and every other byte must be identical at
+/// any thread count.
+fn model_digest(bytes: &[u8]) -> u64 {
+    let mut model = TrainedModel::from_bytes(bytes).expect("container round trip");
+    model.classifier.config.parallelism = 1;
+    fnv1a(&model.to_bytes())
+}
+
+/// Parse `expected.txt`: untagged lines are served probabilities, `gsg` /
+/// `ldg` lines branch raw scores, the `model` line the model digest.
+fn parse_expected(text: &str) -> Trace {
+    let mut t = Trace { probs: Vec::new(), gsg: Vec::new(), ldg: Vec::new(), model: 0 };
+    let hex =
+        |tok: Option<&str>| u64::from_str_radix(tok.expect("hex bits"), 16).expect("hex bits");
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let mut it = line.split_whitespace();
+        match it.next() {
+            Some("gsg") => t.gsg.push(hex(it.next())),
+            Some("ldg") => t.ldg.push(hex(it.next())),
+            Some("model") => t.model = hex(it.next()),
+            tok => t.probs.push(hex(tok)),
+        }
+    }
+    t
+}
+
+/// Lower one account the way the serving path does under `cfg`.
+fn lower(g: &Subgraph, cfg: &Dbg4EthConfig) -> GraphTensors {
+    assert_eq!(
+        cfg.features,
+        FeatureMode::LogAbsolute,
+        "golden config lowers log-absolute features"
+    );
+    GraphTensors::from_subgraph(g, cfg.t_slices)
 }
 
 /// Build the fixture once from the simulator. Only used when the committed
@@ -212,8 +280,8 @@ fn golden_trace_is_bit_stable() {
     let dataset = GraphDataset { class: AccountClass::Exchange, graphs };
     let cfg = golden_config();
     let (trained, _) = Session::train(&dataset, 0.7, &cfg).expect("train");
-    let model =
-        TrainedModel::from_bytes(&trained.model().to_bytes()).expect("container round trip");
+    let bytes = trained.model().to_bytes();
+    let model = TrainedModel::from_bytes(&bytes).expect("container round trip");
     let session = Session::from_model(model);
     let (_, test_idx) = dataset.split(0.7, cfg.seed);
     let accounts: Vec<Subgraph> = test_idx.iter().map(|&i| dataset.graphs[i].clone()).collect();
@@ -222,10 +290,23 @@ fn golden_trace_is_bit_stable() {
     let probs: Vec<f64> =
         report.scores.into_iter().map(|r| r.expect("strict result").score).collect();
     assert!(!probs.is_empty());
-    let got: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
+    let lowered: Vec<GraphTensors> = accounts.iter().map(|g| lower(g, &cfg)).collect();
+    let served = session.model();
+    let gsg = &served.gsg.as_ref().expect("golden config trains GSG").scorer;
+    let ldg = &served.ldg.as_ref().expect("golden config trains LDG").scorer;
+    let gsg_raw: Vec<f64> = lowered.iter().map(|g| gsg.raw_score(g)).collect();
+    let ldg_raw: Vec<f64> = lowered.iter().map(|g| ldg.raw_score(g)).collect();
+    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
+    let got = Trace {
+        probs: bits(&probs),
+        gsg: bits(&gsg_raw),
+        ldg: bits(&ldg_raw),
+        model: model_digest(&bytes),
+    };
 
     if regen {
-        std::fs::write(&expected_path, render_expected(&probs)).expect("write expected");
+        let text = render_expected(&probs, &gsg_raw, &ldg_raw, got.model);
+        std::fs::write(&expected_path, text).expect("write expected");
         eprintln!("regenerated {}", expected_path.display());
         return;
     }
@@ -236,18 +317,31 @@ fn golden_trace_is_bit_stable() {
         )
     }));
     assert_eq!(
-        got.len(),
-        expected.len(),
+        got.probs.len(),
+        expected.probs.len(),
         "test split size changed — regenerate the golden expectations if intended"
     );
-    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            g,
-            e,
-            "account {i}: got {:.12} ({g:016x}), expected {:.12} ({e:016x}) — \
-             numeric drift; if intended, regenerate with DBG4ETH_REGEN_GOLDEN=1",
-            f64::from_bits(*g),
-            f64::from_bits(*e),
-        );
+    for (what, got, want) in [
+        ("probability", &got.probs, &expected.probs),
+        ("GSG raw score", &got.gsg, &expected.gsg),
+        ("LDG raw score", &got.ldg, &expected.ldg),
+    ] {
+        assert_eq!(got.len(), want.len(), "{what}: pinned count changed");
+        for (i, (g, e)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g,
+                e,
+                "account {i} {what}: got {:.12} ({g:016x}), expected {:.12} ({e:016x}) — \
+                 numeric drift; if intended, regenerate with DBG4ETH_REGEN_GOLDEN=1",
+                f64::from_bits(*g),
+                f64::from_bits(*e),
+            );
+        }
     }
+    assert_eq!(
+        got.model, expected.model,
+        "model digest: got {:016x}, expected {:016x} — trained weights or fitted \
+         stages drifted; if intended, regenerate with DBG4ETH_REGEN_GOLDEN=1",
+        got.model, expected.model
+    );
 }
