@@ -117,14 +117,6 @@ pub struct Dbg4EthConfig {
     /// pipeline's outputs are bit-identical for every setting.
     pub parallelism: usize,
     pub seed: u64,
-    /// Floating-point execution profile of the dense kernels.
-    /// [`NumericsProfile::Strict`] (the default) keeps the bit-identical
-    /// accumulation order that the golden trace pins; `Fast` enables FMA and
-    /// reassociation in the GEMM microkernels (still deterministic and
-    /// thread-invariant, but not bit-identical to Strict — the statistical
-    /// tolerance harness bounds the drift). Overridable at run time with
-    /// `DBG4ETH_NUMERICS=strict|fast`; see [`Dbg4EthConfig::numerics_profile`].
-    pub numerics: NumericsProfile,
 }
 
 impl Default for Dbg4EthConfig {
@@ -148,7 +140,6 @@ impl Default for Dbg4EthConfig {
             cross_fit: true,
             parallelism: 0,
             seed: 42,
-            numerics: NumericsProfile::Strict,
         }
     }
 }
@@ -271,9 +262,6 @@ impl Dbg4EthConfigBuilder {
         parallelism: usize,
         /// Seed of every random stage.
         seed: u64,
-        /// Floating-point execution profile of the dense kernels
-        /// (Strict = bit-identical golden path, Fast = FMA + reassociation).
-        numerics: NumericsProfile,
     }
 
     /// Validate the accumulated configuration and return it.
@@ -290,23 +278,10 @@ impl Dbg4EthConfig {
         par::resolve_threads(self.parallelism)
     }
 
-    /// The resolved numerics profile for this run: the `DBG4ETH_NUMERICS`
-    /// environment variable (`strict` / `fast`, case-insensitive) overrides
-    /// the configured [`Dbg4EthConfig::numerics`] — mirroring how
-    /// `DBG4ETH_THREADS` overrides `parallelism`, so CI can exercise both
-    /// profiles without touching call sites.
-    ///
-    /// # Panics
-    /// On an unrecognised `DBG4ETH_NUMERICS` value: silently falling back to
-    /// the wrong floating-point contract would invalidate a golden or
-    /// tolerance run.
+    /// The numerics contract every run keeps: always
+    /// [`NumericsProfile::Strict`], so reports can name it.
     pub fn numerics_profile(&self) -> NumericsProfile {
-        match std::env::var("DBG4ETH_NUMERICS") {
-            Ok(s) => NumericsProfile::parse(&s).unwrap_or_else(|| {
-                panic!("DBG4ETH_NUMERICS must be \"strict\" or \"fast\", got {s:?}")
-            }),
-            Err(_) => self.numerics,
-        }
+        NumericsProfile::Strict
     }
 
     /// A validating builder starting from [`Dbg4EthConfig::default`].
@@ -431,7 +406,6 @@ mod tests {
             .cross_fit(false)
             .parallelism(2)
             .seed(9)
-            .numerics(NumericsProfile::Fast)
             .build()
             .unwrap();
         assert_eq!(cfg.epochs, 12);
@@ -443,13 +417,12 @@ mod tests {
         assert!(!cfg.cross_fit);
         assert_eq!(cfg.parallelism, 2);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.numerics, NumericsProfile::Fast);
     }
 
     #[test]
     fn numerics_defaults_to_strict() {
-        assert_eq!(Dbg4EthConfig::default().numerics, NumericsProfile::Strict);
-        assert_eq!(Dbg4EthConfig::fast().numerics, NumericsProfile::Strict);
+        assert_eq!(Dbg4EthConfig::default().numerics_profile(), NumericsProfile::Strict);
+        assert_eq!(Dbg4EthConfig::fast().numerics_profile(), NumericsProfile::Strict);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-use tensor::NumericsProfile;
 
 /// Bucket edges of the `infer.account_latency_ms` histogram: log-spaced
 /// from 10µs to 10s, cached because [`obs::observe`] requires identical
@@ -944,9 +943,7 @@ fn rebuild_gsg(
     let mut store = ParamStore::new();
     let encoder = GsgEncoder::new(&mut store, &mut StdRng::seed_from_u64(0), config.gsg);
     check_restore("GSG", store.restore_from(loaded), store.len(), loaded.len())?;
-    // Scoring honours the run-time profile resolution (DBG4ETH_NUMERICS
-    // overrides whatever profile the container was trained under).
-    Ok(TrainedGsg { store, encoder, history, numerics: config.numerics_profile() })
+    Ok(TrainedGsg { store, encoder, history })
 }
 
 fn rebuild_ldg(
@@ -959,7 +956,7 @@ fn rebuild_ldg(
     ldg_cfg.t_slices = config.t_slices;
     let encoder = LdgEncoder::new(&mut store, &mut StdRng::seed_from_u64(0), ldg_cfg);
     check_restore("LDG", store.restore_from(loaded), store.len(), loaded.len())?;
-    Ok(TrainedLdg { store, encoder, history, numerics: config.numerics_profile() })
+    Ok(TrainedLdg { store, encoder, history })
 }
 
 fn check_restore(
@@ -1025,19 +1022,17 @@ fn classifier_from_tag(tag: u8) -> Result<ClassifierKind, ModelIoError> {
     })
 }
 
-fn numerics_tag(p: NumericsProfile) -> u8 {
-    match p {
-        NumericsProfile::Strict => 0,
-        NumericsProfile::Fast => 1,
+/// The trailing numerics byte: `0` (Strict) is the only contract. `1`
+/// marks a model trained under the removed Fast profile, whose weights
+/// were fit to other numerics, so it is refused rather than served.
+fn check_numerics_tag(tag: u8) -> Result<(), ModelIoError> {
+    match tag {
+        0 => Ok(()),
+        1 => Err(ModelIoError::Corrupt {
+            context: "numerics tag 1: model was trained under the removed Fast profile".into(),
+        }),
+        v => Err(ModelIoError::Corrupt { context: format!("unknown numerics tag {v}") }),
     }
-}
-
-fn numerics_from_tag(tag: u8) -> Result<NumericsProfile, ModelIoError> {
-    Ok(match tag {
-        0 => NumericsProfile::Strict,
-        1 => NumericsProfile::Fast,
-        v => return Err(ModelIoError::Corrupt { context: format!("unknown numerics tag {v}") }),
-    })
 }
 
 fn feature_tag(f: FeatureMode) -> u8 {
@@ -1096,9 +1091,9 @@ fn read_augment(s: &mut SectionReader) -> Result<AugmentConfig, ModelIoError> {
 
 pub(crate) fn write_config(c: &Dbg4EthConfig, s: &mut SectionWriter) {
     write_config_pre_numerics(c, s);
-    // Appended last so containers written before the numerics profile
-    // existed still load (readers default the missing byte to Strict).
-    s.put_u8(numerics_tag(c.numerics));
+    // Appended last so containers written before the numerics byte existed
+    // still load (readers treat the missing byte as Strict).
+    s.put_u8(0);
 }
 
 /// Every config field up to (and excluding) the trailing numerics byte —
@@ -1185,15 +1180,12 @@ pub(crate) fn read_config(s: &mut SectionReader) -> Result<Dbg4EthConfig, ModelI
         cross_fit: s.get_bool()?,
         parallelism: s.get_usize()?,
         seed: s.get_u64()?,
-        // Absent in containers from before the numerics profile existed:
-        // those were written (and trained) under the only profile of the
-        // time, which is exactly today's Strict.
-        numerics: if s.remaining() > 0 {
-            numerics_from_tag(s.get_u8()?)?
-        } else {
-            NumericsProfile::Strict
-        },
     };
+    // Absent in containers from before the numerics byte existed: those
+    // were trained under the only profile of the time, today's Strict.
+    if s.remaining() > 0 {
+        check_numerics_tag(s.get_u8()?)?;
+    }
     validate_config(&config)?;
     Ok(config)
 }
@@ -1225,9 +1217,7 @@ mod tests {
 
     #[test]
     fn config_round_trips_exactly() {
-        let mut fast_numerics = Dbg4EthConfig::fast();
-        fast_numerics.numerics = NumericsProfile::Fast;
-        for c in [Dbg4EthConfig::default(), Dbg4EthConfig::fast(), fast_numerics] {
+        for c in [Dbg4EthConfig::default(), Dbg4EthConfig::fast()] {
             let loaded = round_trip_config(&c).unwrap();
             assert_eq!(format!("{c:?}"), format!("{loaded:?}"));
         }
@@ -1244,20 +1234,38 @@ mod tests {
         let mut s = r.section("config").unwrap();
         let loaded = read_config(&mut s).unwrap();
         s.expect_end("config").unwrap();
-        assert_eq!(loaded.numerics, NumericsProfile::Strict);
+        assert_eq!(format!("{c:?}"), format!("{loaded:?}"));
     }
 
+    /// Tag 1 (a model trained under the removed Fast profile) and unknown
+    /// tags are typed errors on strict, lenient and mmap loads alike.
     #[test]
     fn unknown_numerics_tag_is_a_typed_error() {
-        let c = Dbg4EthConfig::fast();
-        let mut w = ModelWriter::new();
-        let mut s = SectionWriter::new();
-        write_config_pre_numerics(&c, &mut s);
-        s.put_u8(9); // not a known profile tag
-        w.push("config", s);
-        let r = ModelReader::from_bytes(&w.to_bytes()).unwrap();
-        let mut s = r.section("config").unwrap();
-        assert!(matches!(read_config(&mut s), Err(ModelIoError::Corrupt { .. })));
+        for (tag, names) in [(1u8, "removed Fast profile"), (9, "unknown numerics tag 9")] {
+            let mut w = ModelWriter::new();
+            let mut s = SectionWriter::new();
+            write_config_pre_numerics(&Dbg4EthConfig::fast(), &mut s);
+            s.put_u8(tag);
+            w.push(SEC_CONFIG, s);
+            let bytes = w.to_bytes();
+            let path = std::env::temp_dir()
+                .join(format!("dbg4eth-numerics-tag-{tag}-{}.dbgm", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let loads = [
+                ("strict", TrainedModel::from_bytes(&bytes).err()),
+                ("lenient", TrainedModel::from_bytes_degraded(&bytes).err()),
+                ("mmap", TrainedModel::load_mmap(&path).err()),
+            ];
+            std::fs::remove_file(&path).unwrap();
+            for (load, err) in loads {
+                match err {
+                    Some(ModelIoError::Corrupt { context }) => {
+                        assert!(context.contains(names), "tag {tag}, {load} load: {context}")
+                    }
+                    other => panic!("tag {tag}, {load} load: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -222,19 +222,16 @@ mod tests {
     }
 
     /// Each branch's test distributions come from that branch's own scoring
-    /// path, so a model trained under the Fast profile is scored under Fast
-    /// too — the op chain it trained with — not on a default Strict tape.
+    /// path: the dists are exactly `softmax(branch.logits)`.
     #[test]
-    fn fast_profile_dists_match_the_branch_scoring_path() {
+    fn dists_match_the_branch_scoring_path() {
         use gnn::{GsgConfig, LdgConfig};
-        use tensor::NumericsProfile;
         let world = World::generate(
             WorldConfig { n_background: 400, seed: 4, ..Default::default() },
             &[(AccountClass::Exchange, 5), (AccountClass::Mining, 5), (AccountClass::Normal, 5)],
         );
         let graphs = multiclass_graphs(&world, SamplerConfig::new(12, 2));
         let cfg = Dbg4EthConfig::builder()
-            .numerics(NumericsProfile::Fast)
             .epochs(2)
             .t_slices(4)
             .gsg(GsgConfig { hidden: 16, d_out: 8, n_classes: 7, ..GsgConfig::default() })
@@ -256,8 +253,6 @@ mod tests {
 
         let gsg = train_gsg(&refs, &cfg);
         let ldg = train_ldg(&refs, &cfg);
-        assert_eq!(gsg.numerics, cfg.numerics_profile());
-        assert_eq!(ldg.numerics, cfg.numerics_profile());
         let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         for (k, g) in refs.iter().enumerate() {
             assert_eq!(bits(&dists[0][k]), bits(&softmax(&gsg.logits(g))), "GSG graph {k}");

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 use std::cell::RefCell;
 use std::sync::Arc;
-use tensor::{BufferPool, NumericsProfile, Tape, Var};
+use tensor::{BufferPool, Tape, Var};
 
 /// Per-epoch training statistics.
 #[derive(Clone, Copy, Debug)]
@@ -24,9 +24,6 @@ pub struct TrainedGsg {
     pub store: ParamStore,
     pub encoder: GsgEncoder,
     pub history: Vec<EpochStats>,
-    /// Numerics profile scoring tapes run under (resolved at training or
-    /// load time).
-    pub numerics: NumericsProfile,
 }
 
 /// A trained LDG branch.
@@ -34,8 +31,6 @@ pub struct TrainedLdg {
     pub store: ParamStore,
     pub encoder: LdgEncoder,
     pub history: Vec<EpochStats>,
-    /// Numerics profile scoring tapes run under.
-    pub numerics: NumericsProfile,
 }
 
 fn batches(n: usize, batch_size: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
@@ -63,7 +58,6 @@ pub(crate) fn flush_pool_stats(prefix: &str, stats: tensor::PoolStats) {
 /// objective over two adaptively augmented views (Section IV-A3).
 pub fn train_gsg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedGsg {
     let _span = obs::span("train.gsg");
-    let numerics = config.numerics_profile();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x65C6);
     let mut store = ParamStore::new();
     let encoder = GsgEncoder::new(&mut store, &mut rng, config.gsg);
@@ -80,7 +74,7 @@ pub fn train_gsg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedGsg
         let mut n_batches = 0;
         for batch in batches(graphs.len(), config.batch_size, &mut rng) {
             store.zero_grad();
-            let mut tape = Tape::with_pool_and_profile(std::mem::take(&mut pool), numerics);
+            let mut tape = Tape::with_pool(std::mem::take(&mut pool));
             let mut ctx = Ctx::new(&store);
             let fwd_span = obs::span("train.gsg.forward");
             let targets: Vec<usize> = batch
@@ -161,13 +155,12 @@ pub fn train_gsg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedGsg
     obs::counter_add("train.gsg.fits", 1);
     obs::counter_add("train.gsg.epochs", config.epochs as u64);
     flush_pool_stats("train.gsg", pool.stats());
-    TrainedGsg { store, encoder, history, numerics }
+    TrainedGsg { store, encoder, history }
 }
 
 /// Train the local dynamic encoder with cross-entropy.
 pub fn train_ldg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedLdg {
     let _span = obs::span("train.ldg");
-    let numerics = config.numerics_profile();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1D6);
     let mut store = ParamStore::new();
     let mut ldg_cfg = config.ldg;
@@ -183,7 +176,7 @@ pub fn train_ldg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedLdg
         let mut n_batches = 0;
         for batch in batches(graphs.len(), config.batch_size, &mut rng) {
             store.zero_grad();
-            let mut tape = Tape::with_pool_and_profile(std::mem::take(&mut pool), numerics);
+            let mut tape = Tape::with_pool(std::mem::take(&mut pool));
             let mut ctx = Ctx::new(&store);
             let fwd_span = obs::span("train.ldg.forward");
             let targets: Vec<usize> = batch
@@ -224,7 +217,7 @@ pub fn train_ldg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedLdg
     obs::counter_add("train.ldg.fits", 1);
     obs::counter_add("train.ldg.epochs", config.epochs as u64);
     flush_pool_stats("train.ldg", pool.stats());
-    TrainedLdg { store, encoder, history, numerics }
+    TrainedLdg { store, encoder, history }
 }
 
 /// A trained encoder branch that can score graphs. Inference packs each
@@ -254,20 +247,15 @@ pub trait BranchScorer: Sync {
 }
 
 /// Class logits of one graph's forward pass, run on this thread's pooled
-/// scoring tape under `numerics`.
-fn pooled_logits(
-    store: &ParamStore,
-    numerics: NumericsProfile,
-    forward: impl FnOnce(&mut Tape, &mut Ctx) -> Var,
-) -> Vec<f32> {
+/// scoring tape.
+fn pooled_logits(store: &ParamStore, forward: impl FnOnce(&mut Tape, &mut Ctx) -> Var) -> Vec<f32> {
     // Each scoring worker thread keeps its own buffer pool, so parallel
     // inference reuses allocations without sharing state across threads.
     thread_local! {
         static SCORE_POOL: RefCell<BufferPool> = RefCell::new(BufferPool::new());
     }
     SCORE_POOL.with(|pool| {
-        let mut tape =
-            Tape::with_pool_and_profile(std::mem::take(&mut *pool.borrow_mut()), numerics);
+        let mut tape = Tape::with_pool(std::mem::take(&mut *pool.borrow_mut()));
         let mut ctx = Ctx::new(store);
         let logits = forward(&mut tape, &mut ctx);
         let row = tape.value(logits).row(0).to_vec();
@@ -283,11 +271,11 @@ fn log_odds(logits: &[f32]) -> f64 {
 
 impl TrainedGsg {
     /// Class logits of one graph: the graph packed alone through the
-    /// encoder's `forward_batch`, on this thread's pooled tape under the
-    /// branch's numerics profile — the op chain training ran.
+    /// encoder's `forward_batch`, on this thread's pooled tape — the op
+    /// chain training ran.
     pub fn logits(&self, graph: &GraphTensors) -> Vec<f32> {
         let batch = GsgBatch::pack([GsgItem::from(graph)]);
-        pooled_logits(&self.store, self.numerics, |tape, ctx| {
+        pooled_logits(&self.store, |tape, ctx| {
             self.encoder.forward_batch(tape, ctx, &self.store, &batch).logits
         })
     }
@@ -297,7 +285,7 @@ impl TrainedLdg {
     /// Class logits of one graph; see [`TrainedGsg::logits`].
     pub fn logits(&self, graph: &GraphTensors) -> Vec<f32> {
         let batch = LdgBatch::pack(&[graph], self.encoder.config.t_slices);
-        pooled_logits(&self.store, self.numerics, |tape, ctx| {
+        pooled_logits(&self.store, |tape, ctx| {
             self.encoder.forward_batch(tape, ctx, &self.store, &batch).logits
         })
     }

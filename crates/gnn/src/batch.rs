@@ -14,9 +14,8 @@
 //!   tape's segment ops, each pinned bit-identical to the per-graph op chain
 //!   it fuses.
 //!
-//! The net contract, pinned by `tests/batch_equivalence.rs`: under the
-//! Strict numerics profile a batch of `N` graphs equals `N` batches of one —
-//! forward outputs are bit-identical row for row, and gradients on the
+//! The net contract, pinned by `tests/batch_equivalence.rs`: a batch of
+//! `N` graphs equals `N` batches of one — forward outputs are bit-identical row for row, and gradients on the
 //! packed input leaf decompose row-for-row into the one-graph gradients.
 
 use crate::augment::AugmentedView;

@@ -155,10 +155,9 @@ impl LdgEncoder {
 
     /// Encode a packed mini-batch in one pass. This is the encoder's only
     /// forward: training packs a mini-batch, scoring packs one account
-    /// alone. Under the Strict numerics profile row `g` of every output is
-    /// bit-identical to the output of graph `g` packed alone (Fast relaxes
-    /// the dense GEMMs). Graphs with fewer than `t_slices` slices reuse their
-    /// last adjacency (the packer repeats it).
+    /// alone. Row `g` of every output is bit-identical to the output of
+    /// graph `g` packed alone. Graphs with fewer than `t_slices` slices reuse
+    /// their last adjacency (the packer repeats it).
     pub fn forward_batch(
         &self,
         tape: &mut Tape,

@@ -107,9 +107,8 @@ impl GsgEncoder {
 
     /// Encode a packed mini-batch in one pass. This is the encoder's only
     /// forward: training packs a mini-batch, scoring packs one account
-    /// alone. Under the Strict numerics profile row `g` of every output is
-    /// bit-identical to the output of graph `g` packed alone (Fast relaxes
-    /// the dense GEMMs).
+    /// alone. Row `g` of every output is bit-identical to the output of
+    /// graph `g` packed alone.
     pub fn forward_batch(
         &self,
         tape: &mut Tape,

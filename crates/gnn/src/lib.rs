@@ -16,9 +16,8 @@
 //!   objective (Section IV-A3),
 //! * [`GsgBatch`] / [`LdgBatch`] — block-diagonal packing feeding each
 //!   encoder's one forward, `forward_batch`: training packs a mini-batch,
-//!   scoring packs one account alone, and under the Strict numerics profile
-//!   a batch of `N` graphs is bit-identical row for row to `N` batches of
-//!   one.
+//!   scoring packs one account alone, and a batch of `N` graphs is
+//!   bit-identical row for row to `N` batches of one.
 
 mod augment;
 mod batch;

@@ -29,7 +29,6 @@
 
 use crate::csr::Csr;
 use crate::exact;
-use crate::profile::NumericsProfile;
 use crate::tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -307,10 +306,6 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: BufferPool,
-    /// Accumulation contract for the dense matmul ops ([`Tape::matmul`]
-    /// forward and backward). Strict by default; see [`NumericsProfile`].
-    /// Sparse and segment ops stay strict under both profiles.
-    profile: NumericsProfile,
 }
 
 impl Tape {
@@ -321,29 +316,13 @@ impl Tape {
     /// A tape that serves allocations from `pool`. Recycle with
     /// [`Tape::into_pool`] once gradients have been consumed.
     pub fn with_pool(pool: BufferPool) -> Self {
-        Self { nodes: Vec::new(), pool, profile: NumericsProfile::Strict }
-    }
-
-    /// A pooled tape whose dense matmuls follow `profile`.
-    pub fn with_pool_and_profile(pool: BufferPool, profile: NumericsProfile) -> Self {
-        Self { nodes: Vec::new(), pool, profile }
-    }
-
-    /// The numerics profile this tape's dense matmuls follow.
-    pub fn profile(&self) -> NumericsProfile {
-        self.profile
-    }
-
-    /// Switch the numerics profile. Only affects ops recorded (and
-    /// backward passes run) after the call; set it before the forward pass.
-    pub fn set_profile(&mut self, profile: NumericsProfile) {
-        self.profile = profile;
+        Self { nodes: Vec::new(), pool }
     }
 
     /// Tear the tape down, returning every value and gradient buffer to the
     /// pool for the next pass.
     pub fn into_pool(self) -> BufferPool {
-        let Tape { nodes, mut pool, profile: _ } = self;
+        let Tape { nodes, mut pool } = self;
         pool.stats.tape_ops += nodes.len() as u64;
         for node in nodes {
             pool.give(node.value.into_vec());
@@ -471,7 +450,7 @@ impl Tape {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (n, m) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
         let mut out = pooled_uninit(&mut self.pool, n, m);
-        self.nodes[a.0].value.matmul_into_profiled(&self.nodes[b.0].value, &mut out, self.profile);
+        self.nodes[a.0].value.matmul_into(&self.nodes[b.0].value, &mut out);
         self.push(out, Op::Matmul(a.0, b.0))
     }
 
@@ -582,23 +561,12 @@ impl Tape {
 
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
         // The backward pass reconstructs the slope from the stored output
-        // (`y + α`), so the Fast approximation stays self-consistent.
-        let v = if self.profile.is_fast() {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * (crate::profile::fast_exp(x) - 1.0)
-                }
-            })
-        } else {
-            let x = &self.nodes[a.0].value;
-            let mut v = pooled_apply(&mut self.pool, x, exact::exp_in_place);
-            for (o, &x) in v.data_mut().iter_mut().zip(x.data()) {
-                *o = if x > 0.0 { x } else { alpha * (*o - 1.0) };
-            }
-            v
-        };
+        // (`y + α`).
+        let x = &self.nodes[a.0].value;
+        let mut v = pooled_apply(&mut self.pool, x, exact::exp_in_place);
+        for (o, &x) in v.data_mut().iter_mut().zip(x.data()) {
+            *o = if x > 0.0 { x } else { alpha * (*o - 1.0) };
+        }
         self.push(v, Op::Elu(a.0, alpha))
     }
 
@@ -608,25 +576,14 @@ impl Tape {
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        // Strict is glibc's tanhf bit-for-bit (the crate's own vectorised
-        // port); Fast swaps in the exp2-polynomial approximation (the
-        // tolerance harness bounds the end-to-end drift). Backward uses the
-        // stored output in both cases, so gradients stay consistent with
-        // whichever forward produced them.
-        let v = if self.profile.is_fast() {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, crate::profile::fast_tanh)
-        } else {
-            pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::tanh_in_place)
-        };
+        // glibc's tanhf bit-for-bit (the crate's own vectorised port).
+        // Backward uses the stored output.
+        let v = pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::tanh_in_place);
         self.push(v, Op::Tanh(a.0))
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = if self.profile.is_fast() {
-            pooled_map(&mut self.pool, &self.nodes[a.0].value, crate::profile::fast_sigmoid)
-        } else {
-            pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::sigmoid_in_place)
-        };
+        let v = pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::sigmoid_in_place);
         self.push(v, Op::Sigmoid(a.0))
     }
 
@@ -976,7 +933,7 @@ impl Tape {
                     if self.nodes[a].requires {
                         let bt = pooled_transpose(&mut self.pool, &self.nodes[b].value);
                         let mut ga = pooled_uninit(&mut self.pool, g.rows(), bt.cols());
-                        g.matmul_into_profiled(&bt, &mut ga, self.profile);
+                        g.matmul_into(&bt, &mut ga);
                         self.pool.give(bt.into_vec());
                         self.acc_grad(a, ga);
                     }
@@ -985,7 +942,7 @@ impl Tape {
                         // the (tall) activation matrix.
                         let mut gb =
                             pooled_uninit(&mut self.pool, self.nodes[a].value.cols(), g.cols());
-                        self.nodes[a].value.matmul_tn_into_profiled(&g, &mut gb, self.profile);
+                        self.nodes[a].value.matmul_tn_into(&g, &mut gb);
                         self.acc_grad(b, gb);
                     }
                     self.pool.give(g.into_vec());
@@ -1767,28 +1724,6 @@ mod tests {
                     .collect();
                 assert_eq!(got, tg.grad(leaf_g).unwrap().to_bits_vec(), "{what} grad block {s}");
             }
-        }
-    }
-
-    #[test]
-    fn fast_profile_tape_stays_close_to_strict() {
-        let x0 = seg_fixture(8, 6, 31);
-        let w0 = seg_fixture(6, 3, 32);
-        let run = |profile: NumericsProfile| {
-            let mut tape = Tape::with_pool_and_profile(BufferPool::new(), profile);
-            let x = tape.leaf(x0.clone());
-            let w = tape.leaf(w0.clone());
-            let h = tape.matmul(x, w);
-            let h = tape.tanh(h);
-            let loss = tape.mean_all(h);
-            tape.backward(loss);
-            (tape.value(loss).item(), tape.grad(w).unwrap().clone())
-        };
-        let (ls, gs) = run(NumericsProfile::Strict);
-        let (lf, gf) = run(NumericsProfile::Fast);
-        assert!((ls - lf).abs() <= 1e-5 * ls.abs().max(1.0), "loss drift {ls} vs {lf}");
-        for (a, b) in gs.data().iter().zip(gf.data()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "grad drift {a} vs {b}");
         }
     }
 

@@ -6,7 +6,6 @@
 //! keeps shape logic simple and the autodiff tape (see [`crate::tape`]) easy
 //! to verify with finite differences.
 
-use crate::profile::NumericsProfile;
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
@@ -234,90 +233,6 @@ impl Tensor {
         }
     }
 
-    /// `self @ other` with [`NumericsProfile`]-selected accumulation:
-    /// [`Tensor::matmul_into`] under Strict, [`Tensor::matmul_into_fast`]
-    /// under Fast.
-    #[inline]
-    pub fn matmul_into_profiled(&self, other: &Tensor, out: &mut Tensor, profile: NumericsProfile) {
-        if profile.is_fast() {
-            self.matmul_into_fast(other, out);
-        } else {
-            self.matmul_into(other, out);
-        }
-    }
-
-    /// `self @ other` under the Fast profile: 4×16 register tiles of fused
-    /// multiply-adds with no zero-skip branch (the build enables FMA, so the
-    /// inner loop compiles to `vfmadd` and sustains roughly twice the Strict
-    /// kernel's no-FMA throughput). Same values as [`Tensor::matmul_into`]
-    /// up to rounding; not bit-identical, but deterministic for a fixed
-    /// build.
-    pub fn matmul_into_fast(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: ({}, {}) @ ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
-        let (k, n) = (self.cols, other.cols);
-        let mut i = 0;
-        while i + 4 <= self.rows {
-            let (a0, a1, a2, a3) = (self.row(i), self.row(i + 1), self.row(i + 2), self.row(i + 3));
-            let (o0, rest) = out.data[i * n..(i + 4) * n].split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3) = rest.split_at_mut(n);
-            let mut j = 0;
-            while j + MM_JT <= n {
-                let mut c0 = [0.0f32; MM_JT];
-                let mut c1 = [0.0f32; MM_JT];
-                let mut c2 = [0.0f32; MM_JT];
-                let mut c3 = [0.0f32; MM_JT];
-                for p in 0..k {
-                    let b = &other.row(p)[j..j + MM_JT];
-                    let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-                    for t in 0..MM_JT {
-                        c0[t] = fmadd(x0, b[t], c0[t]);
-                        c1[t] = fmadd(x1, b[t], c1[t]);
-                        c2[t] = fmadd(x2, b[t], c2[t]);
-                        c3[t] = fmadd(x3, b[t], c3[t]);
-                    }
-                }
-                o0[j..j + MM_JT].copy_from_slice(&c0);
-                o1[j..j + MM_JT].copy_from_slice(&c1);
-                o2[j..j + MM_JT].copy_from_slice(&c2);
-                o3[j..j + MM_JT].copy_from_slice(&c3);
-                j += MM_JT;
-            }
-            if j < n {
-                o0[j..].fill(0.0);
-                o1[j..].fill(0.0);
-                o2[j..].fill(0.0);
-                o3[j..].fill(0.0);
-                for p in 0..k {
-                    let b_row = &other.row(p)[j..];
-                    for (t, &b) in b_row.iter().enumerate() {
-                        o0[j + t] = fmadd(a0[p], b, o0[j + t]);
-                        o1[j + t] = fmadd(a1[p], b, o1[j + t]);
-                        o2[j + t] = fmadd(a2[p], b, o2[j + t]);
-                        o3[j + t] = fmadd(a3[p], b, o3[j + t]);
-                    }
-                }
-            }
-            i += 4;
-        }
-        for r in i..self.rows {
-            let a_row = self.row(r);
-            let out_row = out.row_mut(r);
-            out_row.fill(0.0);
-            for (p, &a) in a_row.iter().enumerate() {
-                let b_row = other.row(p);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = fmadd(a, b, *o);
-                }
-            }
-        }
-    }
-
     /// `selfᵀ @ other` written into `out` (shape `(self.cols, other.cols)`;
     /// prior contents are overwritten) without materialising the transpose.
     ///
@@ -408,102 +323,6 @@ impl Tensor {
                     let a_row = self.row(p);
                     for r in i..k {
                         axpy_nonzero(out.row_mut(r), a_row[r], other.row(p));
-                    }
-                }
-            }
-            p0 = p1;
-        }
-    }
-
-    /// `selfᵀ @ other` with [`NumericsProfile`]-selected accumulation:
-    /// [`Tensor::matmul_tn_into`] under Strict,
-    /// [`Tensor::matmul_tn_into_fast`] under Fast.
-    #[inline]
-    pub fn matmul_tn_into_profiled(
-        &self,
-        other: &Tensor,
-        out: &mut Tensor,
-        profile: NumericsProfile,
-    ) {
-        if profile.is_fast() {
-            self.matmul_tn_into_fast(other, out);
-        } else {
-            self.matmul_tn_into(other, out);
-        }
-    }
-
-    /// `selfᵀ @ other` under the Fast profile: the same L1-chunked 4×16
-    /// register tiling as [`Tensor::matmul_tn_into`], but accumulating with
-    /// fused multiply-adds and no zero-skip. Same values as the Strict
-    /// kernel up to rounding.
-    #[allow(clippy::needless_range_loop)] // r indexes both a_row and out rows
-    pub fn matmul_tn_into_fast(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn shape mismatch: ({}, {})^T @ ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(out.shape(), (self.cols, other.cols), "matmul_tn output shape");
-        let (m, k) = (self.rows, self.cols);
-        let n = other.cols;
-        out.data.fill(0.0);
-        const TN_PB: usize = 256;
-        let mut p0 = 0;
-        while p0 < m {
-            let p1 = (p0 + TN_PB).min(m);
-            let mut i = 0;
-            while i + 4 <= k {
-                let mut j = 0;
-                while j + MM_JT <= n {
-                    let mut c0 = [0.0f32; MM_JT];
-                    let mut c1 = [0.0f32; MM_JT];
-                    let mut c2 = [0.0f32; MM_JT];
-                    let mut c3 = [0.0f32; MM_JT];
-                    c0.copy_from_slice(&out.row(i)[j..j + MM_JT]);
-                    c1.copy_from_slice(&out.row(i + 1)[j..j + MM_JT]);
-                    c2.copy_from_slice(&out.row(i + 2)[j..j + MM_JT]);
-                    c3.copy_from_slice(&out.row(i + 3)[j..j + MM_JT]);
-                    for p in p0..p1 {
-                        let a_row = self.row(p);
-                        let b = &other.row(p)[j..j + MM_JT];
-                        let (x0, x1, x2, x3) = (a_row[i], a_row[i + 1], a_row[i + 2], a_row[i + 3]);
-                        for t in 0..MM_JT {
-                            c0[t] = fmadd(x0, b[t], c0[t]);
-                            c1[t] = fmadd(x1, b[t], c1[t]);
-                            c2[t] = fmadd(x2, b[t], c2[t]);
-                            c3[t] = fmadd(x3, b[t], c3[t]);
-                        }
-                    }
-                    out.row_mut(i)[j..j + MM_JT].copy_from_slice(&c0);
-                    out.row_mut(i + 1)[j..j + MM_JT].copy_from_slice(&c1);
-                    out.row_mut(i + 2)[j..j + MM_JT].copy_from_slice(&c2);
-                    out.row_mut(i + 3)[j..j + MM_JT].copy_from_slice(&c3);
-                    j += MM_JT;
-                }
-                if j < n {
-                    for p in p0..p1 {
-                        let a_row = self.row(p);
-                        let b_row = &other.row(p)[j..];
-                        for r in i..i + 4 {
-                            let x = a_row[r];
-                            let out_row = &mut out.row_mut(r)[j..];
-                            for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                                *o = fmadd(x, b, *o);
-                            }
-                        }
-                    }
-                }
-                i += 4;
-            }
-            if i < k {
-                for p in p0..p1 {
-                    let a_row = self.row(p);
-                    let b_row = other.row(p);
-                    for r in i..k {
-                        let x = a_row[r];
-                        for (o, &b) in out.row_mut(r).iter_mut().zip(b_row.iter()) {
-                            *o = fmadd(x, b, *o);
-                        }
                     }
                 }
             }
@@ -695,24 +514,6 @@ fn strict_tile<'b>(
 /// registers with room left for broadcasts and `b` loads.
 pub(crate) const MM_JT: usize = 16;
 
-/// `a * b + c` for the Fast kernels: a single fused `vfmadd` when the build
-/// has hardware FMA, a plain multiply-add otherwise. Without this gate,
-/// `f32::mul_add` on a no-FMA target lowers to libm's *software* fma —
-/// correctly rounded via double-width arithmetic and ~30× slower than the
-/// Strict kernels it is supposed to beat. Fast never promises cross-build
-/// bit identity, so the two lowerings are both valid Fast numerics.
-#[inline(always)]
-fn fmadd(a: f32, b: f32, c: f32) -> f32 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
-}
-
 /// `c[t] += x * b[t]` over one register tile, skipped entirely when
 /// `x == 0.0` — the same per-element zero-skip the scalar loops apply.
 #[inline]
@@ -885,53 +686,6 @@ mod tests {
             let want = matmul_reference(&a.transpose(), &b);
             proptest::prop_assert_eq!(got.to_bits_vec(), want.to_bits_vec());
         }
-    }
-
-    #[test]
-    fn fast_matmul_matches_strict_within_rounding() {
-        for (m, k, n, salt) in [(5, 7, 3, 11), (12, 64, 64, 12), (9, 33, 17, 13)] {
-            let a = mixed_tensor(m, k, salt);
-            let b = mixed_tensor(k, n, salt.wrapping_mul(17));
-            let mut strict = Tensor::zeros(m, n);
-            a.matmul_into(&b, &mut strict);
-            let mut fast = Tensor::zeros(m, n);
-            a.matmul_into_fast(&b, &mut fast);
-            for (s, f) in strict.data().iter().zip(fast.data()) {
-                let tol = 1e-4 * s.abs().max(1.0);
-                assert!((s - f).abs() <= tol, "fast kernel drifted: {s} vs {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_tn_matches_strict_within_rounding() {
-        for (m, k, n, salt) in [(7, 5, 3, 21), (64, 12, 20, 22), (33, 9, 17, 23)] {
-            let a = mixed_tensor(m, k, salt);
-            let b = mixed_tensor(m, n, salt.wrapping_mul(13));
-            let mut strict = Tensor::zeros(k, n);
-            a.matmul_tn_into(&b, &mut strict);
-            let mut fast = Tensor::zeros(k, n);
-            a.matmul_tn_into_fast(&b, &mut fast);
-            for (s, f) in strict.data().iter().zip(fast.data()) {
-                let tol = 1e-4 * s.abs().max(1.0);
-                assert!((s - f).abs() <= tol, "fast tn kernel drifted: {s} vs {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn profiled_dispatch_selects_kernels() {
-        let a = mixed_tensor(6, 10, 77);
-        let b = mixed_tensor(10, 4, 78);
-        let mut strict = Tensor::zeros(6, 4);
-        a.matmul_into(&b, &mut strict);
-        let mut via_profile = Tensor::zeros(6, 4);
-        a.matmul_into_profiled(&b, &mut via_profile, NumericsProfile::Strict);
-        assert_eq!(strict.to_bits_vec(), via_profile.to_bits_vec());
-        let mut fast = Tensor::zeros(6, 4);
-        a.matmul_into_fast(&b, &mut fast);
-        a.matmul_into_profiled(&b, &mut via_profile, NumericsProfile::Fast);
-        assert_eq!(fast.to_bits_vec(), via_profile.to_bits_vec());
     }
 
     #[test]

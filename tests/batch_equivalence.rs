@@ -4,9 +4,8 @@
 //! Each encoder has one forward, `forward_batch`, over a packed batch
 //! ([`gnn::GsgBatch`] / [`gnn::LdgBatch`]). The trainer packs a whole
 //! mini-batch into one block-diagonal adjacency; scoring packs each account
-//! alone. Under the Strict numerics profile the fusion is a pure
-//! re-orchestration: these properties pin, over arbitrary mixes of subgraph
-//! sizes and shapes, that
+//! alone. The fusion is a pure re-orchestration: these properties pin,
+//! over arbitrary mixes of subgraph sizes and shapes, that
 //!
 //! - every batched output row (logits, embeddings, projections) is
 //!   bit-identical to the output of the same graph packed alone, and

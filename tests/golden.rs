@@ -30,11 +30,18 @@
 //!
 //! The fixture itself (`fixture.txt`) is never regenerated automatically —
 //! it is the frozen input that makes traces comparable across PRs.
+//!
+//! A second test, [`seed_sweep_is_bit_stable`], pins end-to-end metrics over
+//! a sweep of simulated worlds (`tolerance.txt`): for each seed, the test
+//! split's binary F1, ECE and score deciles, as exact bit patterns. The same
+//! `DBG4ETH_REGEN_GOLDEN=1` run regenerates it.
 
+use calib::ece;
 use dbg4eth::{BranchScorer, Dbg4EthConfig, FeatureMode, InferOptions, Session, TrainedModel};
-use eth_graph::{AccountKind, LocalTx, Subgraph};
-use eth_sim::{AccountClass, GraphDataset};
+use eth_graph::{AccountKind, LocalTx, SamplerConfig, Subgraph};
+use eth_sim::{AccountClass, Benchmark, DatasetScale, GraphDataset, POSITIVE};
 use gnn::GraphTensors;
+use nn::metrics::Metrics;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -222,8 +229,6 @@ fn lower(g: &Subgraph, cfg: &Dbg4EthConfig) -> GraphTensors {
 /// fixture is absent (first creation); after that the text file is the
 /// source of truth and simulator changes cannot move the golden trace.
 fn generate_fixture() -> Vec<Subgraph> {
-    use eth_graph::SamplerConfig;
-    use eth_sim::{Benchmark, DatasetScale};
     let scale =
         DatasetScale { exchange: 8, ico_wallet: 0, mining: 0, phish_hack: 0, bridge: 0, defi: 0 };
     let bench = Benchmark::generate(scale, SamplerConfig::new(10, 2), 20);
@@ -232,15 +237,6 @@ fn generate_fixture() -> Vec<Subgraph> {
 
 #[test]
 fn golden_trace_is_bit_stable() {
-    // The golden trace pins the Strict profile's accumulation order. A
-    // run-time override to Fast numerics (the CI fast-profile job runs the
-    // whole suite that way) is *supposed* to drift within the tolerance
-    // harness's bounds, so bit-comparing it here would only re-test the
-    // override plumbing. tests/tolerance.rs owns the Fast contract.
-    if std::env::var("DBG4ETH_NUMERICS").is_ok_and(|v| v.trim().eq_ignore_ascii_case("fast")) {
-        eprintln!("golden: skipped under DBG4ETH_NUMERICS=fast; tolerance.rs covers this profile");
-        return;
-    }
     let dir = golden_dir();
     let fixture_path = dir.join("fixture.txt");
     let expected_path = dir.join("expected.txt");
@@ -344,4 +340,139 @@ fn golden_trace_is_bit_stable() {
          stages drifted; if intended, regenerate with DBG4ETH_REGEN_GOLDEN=1",
         got.model, expected.model
     );
+}
+
+// --- seed sweep --------------------------------------------------------------
+//
+// tolerance.txt, one line per seed:
+// seed <seed> f1 <hex-f64-bits> ece <hex-f64-bits> q <hex-f64-bits ×9>
+
+/// Seeds of the sweep; each drives the simulated world, the train/test split
+/// and the parameter initialisation.
+const SWEEP_SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
+/// Number of interior deciles tracked (q10 .. q90).
+const N_QUANTILES: usize = 9;
+const ECE_BINS: usize = 5;
+
+/// One seed's test-split summary.
+struct SeedMetrics {
+    seed: u64,
+    f1: f64,
+    ece: f64,
+    quantiles: Vec<f64>,
+}
+
+impl SeedMetrics {
+    /// Every pinned metric with its name, in fixture order.
+    fn named(&self) -> Vec<(String, f64)> {
+        let mut out = vec![("f1".to_string(), self.f1), ("ECE".to_string(), self.ece)];
+        out.extend(self.quantiles.iter().enumerate().map(|(i, &q)| (format!("q{}0", i + 1), q)));
+        out
+    }
+}
+
+/// The golden configuration, trained for 3 epochs under `seed`.
+fn sweep_config(seed: u64) -> Dbg4EthConfig {
+    let mut cfg = golden_config();
+    cfg.epochs = 3;
+    cfg.seed = seed;
+    cfg
+}
+
+/// Deterministic interior deciles of the sorted scores.
+fn deciles(scores: &[f64]) -> Vec<f64> {
+    let mut s = scores.to_vec();
+    s.sort_by(|a, b| a.total_cmp(b));
+    (1..=N_QUANTILES).map(|i| s[((i * s.len()) / 10).min(s.len() - 1)]).collect()
+}
+
+/// Train and serve one seed, then summarise the test split: binary F1 at
+/// threshold 0.5, ECE, and score deciles.
+fn run_seed(seed: u64) -> SeedMetrics {
+    let scale =
+        DatasetScale { exchange: 8, ico_wallet: 0, mining: 0, phish_hack: 0, bridge: 0, defi: 0 };
+    let bench = Benchmark::generate(scale, SamplerConfig::new(10, 2), seed);
+    let dataset = bench.dataset(AccountClass::Exchange);
+    let cfg = sweep_config(seed);
+    let (session, _) = Session::train(dataset, 0.7, &cfg).expect("train");
+    let (_, test_idx) = dataset.split(0.7, cfg.seed);
+    let accounts: Vec<Subgraph> = test_idx.iter().map(|&i| dataset.graphs[i].clone()).collect();
+    let labels: Vec<bool> = accounts.iter().map(|g| g.label == Some(POSITIVE)).collect();
+    let opts = InferOptions { strict: true, ..InferOptions::default() };
+    let report = session.score_with(&accounts, &opts).expect("strict scoring");
+    let probs: Vec<f64> =
+        report.scores.into_iter().map(|r| r.expect("strict result").score).collect();
+    assert!(!probs.is_empty(), "seed {seed}: empty test split");
+    let m = Metrics::from_scores(&probs, &labels, 0.5);
+    SeedMetrics { seed, f1: m.f1, ece: ece(&probs, &labels, ECE_BINS), quantiles: deciles(&probs) }
+}
+
+fn render_sweep(rows: &[SeedMetrics]) -> String {
+    let mut out = String::from(
+        "# Strict metrics per seed of the golden seed sweep.\n\
+         # Regenerate with DBG4ETH_REGEN_GOLDEN=1 cargo test -p dbg4eth --test golden\n",
+    );
+    for r in rows {
+        write!(out, "seed {} f1 {:016x} ece {:016x} q", r.seed, r.f1.to_bits(), r.ece.to_bits())
+            .unwrap();
+        for q in &r.quantiles {
+            write!(out, " {:016x}", q.to_bits()).unwrap();
+        }
+        out.push('\n');
+    }
+    out
+}
+
+fn parse_sweep(text: &str) -> Vec<SeedMetrics> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|line| {
+            let tok: Vec<&str> = line.split_whitespace().collect();
+            assert!(
+                tok.len() == 7 + N_QUANTILES
+                    && [tok[0], tok[2], tok[4], tok[6]] == ["seed", "f1", "ece", "q"],
+                "malformed sweep line: {line}"
+            );
+            let bits = |t: &str| f64::from_bits(u64::from_str_radix(t, 16).expect("hex bits"));
+            SeedMetrics {
+                seed: tok[1].parse().expect("seed"),
+                f1: bits(tok[3]),
+                ece: bits(tok[5]),
+                quantiles: tok[7..].iter().map(|t| bits(t)).collect(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn seed_sweep_is_bit_stable() {
+    let path = golden_dir().join("tolerance.txt");
+    let regen = std::env::var("DBG4ETH_REGEN_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if regen {
+        let rows: Vec<SeedMetrics> = SWEEP_SEEDS.iter().map(|&s| run_seed(s)).collect();
+        std::fs::write(&path, render_sweep(&rows)).expect("write sweep fixture");
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let expected = parse_sweep(&std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "{} is missing; run DBG4ETH_REGEN_GOLDEN=1 cargo test -p dbg4eth --test golden",
+            path.display()
+        )
+    }));
+    let seeds: Vec<u64> = expected.iter().map(|e| e.seed).collect();
+    assert_eq!(seeds, SWEEP_SEEDS, "sweep fixture covers the wrong seed set");
+    for e in &expected {
+        let got = run_seed(e.seed);
+        for ((what, g), (_, w)) in got.named().into_iter().zip(e.named()) {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "seed {}: {what} drifted from the committed sweep ({g} vs {w}); \
+                 if intended, regenerate with DBG4ETH_REGEN_GOLDEN=1",
+                e.seed,
+            );
+        }
+    }
 }
