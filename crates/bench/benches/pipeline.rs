@@ -79,6 +79,7 @@ fn bench_classifier_comparison(c: &mut Criterion) {
                     &out.train_features,
                     &out.train_labels,
                     &out.test_features,
+                    1,
                 ));
             }
         })

@@ -33,6 +33,7 @@ fn main() {
                 &out.train_features,
                 &out.train_labels,
                 &out.test_features,
+                bench::threads(),
             );
             let auc = roc_auc(&scores, &out.test_labels);
             aucs.push(auc);

@@ -136,11 +136,12 @@ fn main() -> ExitCode {
     let labels: Vec<bool> = scenario.centers.iter().map(|(_, p)| *p).collect();
 
     // Build the store over the training prefix and fit the model there.
-    // StoreConfig::from_env honours DBG4ETH_WINDOW_SLICE_SECS /
-    // DBG4ETH_WINDOW_HOPS; the delta radius must cover the sampler's hops.
-    let mut config = StoreConfig::from_env();
-    config.hops = config.hops.max(bench::sampler().hops);
-    config.epoch_start = scenario.t_start;
+    // The delta radius must cover the sampler's hops.
+    let config = StoreConfig::new(
+        bench::sampler().hops,
+        StoreConfig::default().slice_secs,
+        scenario.t_start,
+    );
     let mut store = GraphStore::new(scenario.kinds.clone(), config);
     for w in &windows[..args.train_windows] {
         store.apply(scenario.window_txs(w));

@@ -17,11 +17,6 @@ pub struct GbdtConfig {
     pub n_trees: usize,
     pub learning_rate: f64,
     pub tree: TreeConfig,
-    /// Worker threads for the per-row gradient/prediction passes (`1` =
-    /// serial). Boosting rounds stay sequential by construction; only the
-    /// embarrassingly parallel row loops fan out, so the fitted model is
-    /// bit-identical for every value.
-    pub parallelism: usize,
 }
 
 impl GbdtConfig {
@@ -31,7 +26,6 @@ impl GbdtConfig {
             n_trees: 60,
             learning_rate: 0.1,
             tree: TreeConfig { growth: Growth::LeafWise { max_leaves: 15 }, ..Default::default() },
-            parallelism: 1,
         }
     }
 
@@ -41,7 +35,6 @@ impl GbdtConfig {
             n_trees: 60,
             learning_rate: 0.1,
             tree: TreeConfig { growth: Growth::DepthWise { max_depth: 4 }, ..Default::default() },
-            parallelism: 1,
         }
     }
 }
@@ -74,11 +67,8 @@ impl Gbdt {
                 h[i] = (p * (1.0 - p)).max(1e-9);
             }
             let tree = RegressionTree::fit(x, &g, &h, &config.tree);
-            // Rounds are sequential, but scoring the fitted tree over every
-            // training row is an independent per-row task.
-            let deltas = par::par_map(config.parallelism, x, |row| tree.predict(row));
-            for i in 0..n {
-                f[i] += config.learning_rate * deltas[i];
+            for (fi, row) in f.iter_mut().zip(x) {
+                *fi += config.learning_rate * tree.predict(row);
             }
             trees.push(tree);
         }
@@ -102,20 +92,23 @@ impl Gbdt {
         sigmoid(self.decision(row))
     }
 
-    /// P(positive) for a batch (row-parallel when configured).
+    /// P(positive) for a batch.
     pub fn predict_proba_all(&self, x: &[Vec<f64>]) -> Vec<f64> {
         let _span = obs::span("boost.gbdt.predict");
-        par::par_map_indices(self.config.parallelism, x.len(), |i| {
-            // `panic@boost.predict:<row>` injection point — exercised
-            // through the classifier's per-row fallback in `infer`.
-            faults::maybe_panic("boost.predict", Some(i));
-            self.predict_proba(&x[i])
-        })
+        x.iter()
+            .enumerate()
+            .map(|(i, row)| {
+                // `panic@boost.predict:<row>` injection point — exercised
+                // through the classifier's per-row fallback in `infer`.
+                faults::maybe_panic("boost.predict", Some(i));
+                self.predict_proba(row)
+            })
+            .collect()
     }
 
     /// Hard predictions at threshold 0.5.
     pub fn predict_all(&self, x: &[Vec<f64>]) -> Vec<bool> {
-        par::par_map(self.config.parallelism, x, |r| self.predict_proba(r) >= 0.5)
+        x.iter().map(|r| self.predict_proba(r) >= 0.5).collect()
     }
 
     /// Gain-based feature importance, normalised to sum to 1 (all-zero if
@@ -214,17 +207,6 @@ mod tests {
         let y = vec![true; 10];
         let m = Gbdt::fit(&x, &y, GbdtConfig::lightgbm());
         assert_eq!(m.feature_importance(1), vec![0.0]);
-    }
-
-    #[test]
-    fn gbdt_is_thread_count_invariant() {
-        let (x, y) = xor_data(60);
-        let serial = Gbdt::fit(&x, &y, GbdtConfig::lightgbm());
-        for threads in [2, 4, 7] {
-            let cfg = GbdtConfig { parallelism: threads, ..GbdtConfig::lightgbm() };
-            let par = Gbdt::fit(&x, &y, cfg);
-            assert_eq!(serial.predict_proba_all(&x), par.predict_proba_all(&x));
-        }
     }
 
     #[test]

@@ -137,7 +137,9 @@ impl Gbdt {
         s.put_usize(self.config.n_trees);
         s.put_f64(self.config.learning_rate);
         write_tree_config(&self.config.tree, s);
-        s.put_usize(self.config.parallelism);
+        // Retired thread-count slot, kept so the container layout is
+        // unchanged: training is serial, so it always reads 1.
+        s.put_usize(1);
         s.put_f64(self.base_score);
         s.put_usize(self.trees.len());
         for tree in &self.trees {
@@ -151,8 +153,8 @@ impl Gbdt {
         let learning_rate = s.get_f64()?;
         check_finite(learning_rate, "learning rate")?;
         let tree = read_tree_config(s)?;
-        let parallelism = s.get_usize()?;
-        let config = GbdtConfig { n_trees, learning_rate, tree, parallelism };
+        s.get_usize()?; // retired thread-count slot
+        let config = GbdtConfig { n_trees, learning_rate, tree };
         let base_score = s.get_f64()?;
         check_finite(base_score, "base score")?;
         let count = s.get_usize()?;
@@ -269,7 +271,7 @@ mod tests {
             sec.put_usize(model.config.n_trees);
             sec.put_f64(lr);
             write_tree_config(&model.config.tree, &mut sec);
-            sec.put_usize(model.config.parallelism);
+            sec.put_usize(1);
             sec.put_f64(base);
             sec.put_usize(model.trees.len());
             for tree in &model.trees {

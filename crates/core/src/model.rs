@@ -201,10 +201,9 @@ fn fit_pinned_scaler(raw: &[f64]) -> ConfidenceScaler {
 /// kinds can be saved; the Fig. 7 comparison classifiers (random forest,
 /// AdaBoost, MLP) remain available through [`crate::run`].
 fn classifier_config(config: &Dbg4EthConfig) -> GbdtConfig {
-    let threads = config.threads();
     match config.classifier {
-        ClassifierKind::LightGbm => GbdtConfig { parallelism: threads, ..GbdtConfig::lightgbm() },
-        ClassifierKind::XgBoost => GbdtConfig { parallelism: threads, ..GbdtConfig::xgboost() },
+        ClassifierKind::LightGbm => GbdtConfig::lightgbm(),
+        ClassifierKind::XgBoost => GbdtConfig::xgboost(),
         other => panic!(
             "train() supports the persistable GBDT classifiers (LightGBM, XGBoost), not {}",
             other.name()

@@ -58,32 +58,30 @@ fn softmax(logits: &[f32]) -> Vec<f32> {
 }
 
 /// Per enabled branch (GSG first), the class distribution of every test
-/// graph. Both branches train concurrently; each then scores the test graphs
-/// through its own scoring path (under the profile it trained with) with an
-/// index-ordered parallel map. Training and scoring are deterministic per
-/// task, so the result is bit-identical at any `DBG4ETH_THREADS` setting.
+/// graph. One task per branch trains its encoder and scores the test graphs
+/// through it; the tasks fan out once, so the scoring map inside each runs
+/// inline on its worker (and fans out itself only for a single branch).
+/// Training and scoring are deterministic per task, so the result is
+/// bit-identical at any `DBG4ETH_THREADS` setting.
 fn branch_dists(
     train_graphs: &[&GraphTensors],
     test_graphs: &[&GraphTensors],
     cfg: &Dbg4EthConfig,
 ) -> Vec<Vec<Vec<f32>>> {
     let threads = cfg.threads();
-    let (gsg, ldg) = par::join(
-        threads,
-        || {
-            cfg.use_gsg.then(|| {
-                let trained = train_gsg(train_graphs, cfg);
-                par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
-            })
-        },
-        || {
-            cfg.use_ldg.then(|| {
-                let trained = train_ldg(train_graphs, cfg);
-                par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
-            })
-        },
-    );
-    [gsg, ldg].into_iter().flatten().collect()
+    let branches: Vec<bool> = [(cfg.use_gsg, true), (cfg.use_ldg, false)]
+        .into_iter()
+        .filter_map(|(enabled, gsg)| enabled.then_some(gsg))
+        .collect();
+    par::par_map(threads, &branches, |&gsg| {
+        if gsg {
+            let trained = train_gsg(train_graphs, cfg);
+            par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
+        } else {
+            let trained = train_ldg(train_graphs, cfg);
+            par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
+        }
+    })
 }
 
 /// Run the multiclass pipeline on labelled subgraphs (labels must be

@@ -2,7 +2,7 @@
 //! confidence generation → adaptive calibration → account classification.
 
 use crate::config::{ClassifierKind, Dbg4EthConfig, FeatureMode};
-use crate::trainer::{train_gsg, train_ldg, BranchScorer, EpochStats};
+use crate::trainer::{train_gsg, train_ldg, BranchScorer, EpochStats, TrainedGsg, TrainedLdg};
 use boost::{
     AdaBoost, AdaBoostConfig, ForestConfig, Gbdt, GbdtConfig, MlpClassifier, MlpClassifierConfig,
     RandomForest,
@@ -50,19 +50,10 @@ pub struct RunOutput {
 }
 
 /// Fit the configured classifier and return P(positive) on the test rows.
+/// `threads` fans out the random forest's per-tree fits and per-row
+/// predictions; every other classifier runs serially. The output is
+/// bit-identical for every `threads` value.
 pub fn fit_predict_classifier(
-    kind: ClassifierKind,
-    train_x: &[Vec<f64>],
-    train_y: &[bool],
-    test_x: &[Vec<f64>],
-) -> Vec<f64> {
-    fit_predict_classifier_par(kind, train_x, train_y, test_x, 1)
-}
-
-/// [`fit_predict_classifier`] with an explicit worker-thread count for the
-/// per-tree / per-row fan-out inside the classifiers (deterministic: output
-/// is bit-identical for every `threads` value).
-pub fn fit_predict_classifier_par(
     kind: ClassifierKind,
     train_x: &[Vec<f64>],
     train_y: &[bool],
@@ -71,12 +62,10 @@ pub fn fit_predict_classifier_par(
 ) -> Vec<f64> {
     match kind {
         ClassifierKind::LightGbm => {
-            let cfg = GbdtConfig { parallelism: threads, ..GbdtConfig::lightgbm() };
-            Gbdt::fit(train_x, train_y, cfg).predict_proba_all(test_x)
+            Gbdt::fit(train_x, train_y, GbdtConfig::lightgbm()).predict_proba_all(test_x)
         }
         ClassifierKind::XgBoost => {
-            let cfg = GbdtConfig { parallelism: threads, ..GbdtConfig::xgboost() };
-            Gbdt::fit(train_x, train_y, cfg).predict_proba_all(test_x)
+            Gbdt::fit(train_x, train_y, GbdtConfig::xgboost()).predict_proba_all(test_x)
         }
         ClassifierKind::RandomForest => {
             let cfg = ForestConfig { parallelism: threads, ..ForestConfig::default() };
@@ -255,7 +244,7 @@ pub fn finish(encoded: &EncodedDataset, config: &Dbg4EthConfig) -> RunOutput {
     let cal = calibrate_branches(encoded, config);
     let test_scores = {
         let _span = obs::span("pipeline.classify");
-        fit_predict_classifier_par(
+        fit_predict_classifier(
             config.classifier,
             &cal.train_features,
             &encoded.holdout_labels,
@@ -318,73 +307,46 @@ pub(crate) fn lower_one(g: &eth_graph::Subgraph, config: &Dbg4EthConfig) -> Grap
 /// which [`crate::train`] packages into a persistable [`crate::TrainedModel`].
 pub(crate) struct EncodeOutput {
     pub(crate) encoded: EncodedDataset,
-    pub(crate) gsg: Option<crate::trainer::TrainedGsg>,
-    pub(crate) ldg: Option<crate::trainer::TrainedLdg>,
+    pub(crate) gsg: Option<TrainedGsg>,
+    pub(crate) ldg: Option<TrainedLdg>,
 }
 
-/// Shared per-branch context for [`run_branch`].
-struct BranchCtx<'a> {
-    threads: usize,
-    cross_fitting: bool,
-    fit_graphs: &'a [&'a GraphTensors],
-    test_graphs: &'a [&'a GraphTensors],
-    holdout_graphs: &'a [&'a GraphTensors],
-    fold_a_graphs: &'a [&'a GraphTensors],
-    fold_b_graphs: &'a [&'a GraphTensors],
+/// A fitted encoder of either branch, so one task list can train both.
+enum Fitted {
+    Gsg(TrainedGsg),
+    Ldg(TrainedLdg),
 }
 
-/// Train one branch and produce `(holdout_raw, test_raw)`, cross-fitting
-/// the holdout scores when enabled, plus the full-split scorer itself. Each
-/// training task builds its own seeded `StdRng` from `config.seed`, so the
-/// three cross-fit fits (full, fold A, fold B) are independent tasks whose
-/// results do not depend on the thread count; only their collection order
-/// matters, and that is fixed by task index.
-fn run_branch<S: BranchScorer + Send>(
-    ctx: &BranchCtx<'_>,
-    train: impl Fn(&[&GraphTensors]) -> S + Sync,
-) -> (BranchEncoding, S) {
-    if ctx.cross_fitting {
-        // Task 0 scores the test split with the full-split encoder; tasks
-        // 1 and 2 score each fold with the encoder trained on the other
-        // fold. The full-split encoder's training curve is the one
-        // surfaced in the diagnostics.
-        let score = |scorer: &S, graphs: &[&GraphTensors]| {
-            let _span = obs::span("pipeline.encode.score");
-            scorer.raw_scores(graphs)
-        };
-        let outs = par::par_map_indices(ctx.threads, 3, |task| match task {
-            0 => {
-                let scorer = train(ctx.fit_graphs);
-                let epochs = scorer.history().to_vec();
-                let test_raw = score(&scorer, ctx.test_graphs);
-                (test_raw, epochs, Some(scorer))
-            }
-            1 => (score(&train(ctx.fold_b_graphs), ctx.fold_a_graphs), Vec::new(), None),
-            _ => (score(&train(ctx.fold_a_graphs), ctx.fold_b_graphs), Vec::new(), None),
-        });
-        let mut outs = outs.into_iter();
-        let (test_raw, epochs, scorer) = outs.next().expect("task 0");
-        let (mut holdout_raw, _, _) = outs.next().expect("task 1");
-        let (mut fold_b_raw, _, _) = outs.next().expect("task 2");
-        holdout_raw.append(&mut fold_b_raw);
-        let scorer = scorer.expect("task 0 carries the full-split scorer");
-        (BranchEncoding { holdout_raw, test_raw, epochs }, scorer)
-    } else {
-        let scorer = train(ctx.fit_graphs);
-        let epochs = scorer.history().to_vec();
-        let (holdout_raw, test_raw) = par::join(
-            ctx.threads,
-            || {
-                let _span = obs::span("pipeline.encode.score");
-                scorer.raw_scores(ctx.holdout_graphs)
-            },
-            || {
-                let _span = obs::span("pipeline.encode.score");
-                scorer.raw_scores_par(ctx.test_graphs, ctx.threads)
-            },
-        );
-        (BranchEncoding { holdout_raw, test_raw, epochs }, scorer)
+impl Fitted {
+    fn scorer(&self) -> &dyn BranchScorer {
+        match self {
+            Self::Gsg(m) => m,
+            Self::Ldg(m) => m,
+        }
     }
+}
+
+/// One task of [`encode_with_models`]: train one branch's encoder on `fit`,
+/// then score each split of `score` with it, in order. The encoder seeds
+/// its own `StdRng` from `config.seed`, so the task's output depends only
+/// on its identity, never on the thread that runs it or what runs beside.
+fn fit_and_score(
+    gsg: bool,
+    fit: &[&GraphTensors],
+    score: &[&[&GraphTensors]],
+    config: &Dbg4EthConfig,
+    threads: usize,
+) -> (Fitted, Vec<Vec<f64>>) {
+    let fitted =
+        if gsg { Fitted::Gsg(train_gsg(fit, config)) } else { Fitted::Ldg(train_ldg(fit, config)) };
+    let raw = score
+        .iter()
+        .map(|graphs| {
+            let _span = obs::span("pipeline.encode.score");
+            fitted.scorer().raw_scores(graphs, threads)
+        })
+        .collect();
+    (fitted, raw)
 }
 
 /// Stage 1-2 of the pipeline: lower the graphs, split, train the enabled
@@ -485,35 +447,52 @@ pub(crate) fn encode_with_models(
     let holdout_graphs = graphs_of(&holdout_idx);
     let fold_a_graphs = graphs_of(&fold_a);
     let fold_b_graphs = graphs_of(&fold_b);
-    let ctx = BranchCtx {
-        threads,
-        cross_fitting: cross_fit && !fold_a.is_empty() && !fold_b.is_empty(),
-        fit_graphs: &fit_graphs,
-        test_graphs: &test_graphs,
-        holdout_graphs: &holdout_graphs,
-        fold_a_graphs: &fold_a_graphs,
-        fold_b_graphs: &fold_b_graphs,
-    };
 
-    // The two encoder branches are fully independent (separate parameter
-    // stores, separate seed streams) — run them concurrently.
-    let (gsg, ldg) = par::join(
-        threads,
-        || config.use_gsg.then(|| run_branch(&ctx, |graphs| train_gsg(graphs, config))),
-        || config.use_ldg.then(|| run_branch(&ctx, |graphs| train_ldg(graphs, config))),
-    );
-    let (gsg_encoding, gsg_model) = gsg.map_or((None, None), |(e, s)| (Some(e), Some(s)));
-    let (ldg_encoding, ldg_model) = ldg.map_or((None, None), |(e, s)| (Some(e), Some(s)));
-    EncodeOutput {
-        encoded: EncodedDataset {
-            gsg: gsg_encoding,
-            ldg: ldg_encoding,
-            holdout_labels,
-            test_labels,
-        },
-        gsg: gsg_model,
-        ldg: ldg_model,
+    // Each fit with the splits its encoder scores. The first is always the
+    // full fit split, whose encoder scores the test split last and is the
+    // one kept; when cross-fitting, each fold is scored by the encoder
+    // trained on the other fold, so the holdout (fold A then fold B) is
+    // never scored by an encoder that saw it.
+    let fits: Vec<(&[&GraphTensors], Vec<&[&GraphTensors]>)> =
+        if cross_fit && !fold_a.is_empty() && !fold_b.is_empty() {
+            vec![
+                (&fit_graphs, vec![&test_graphs]),
+                (&fold_b_graphs, vec![&fold_a_graphs]),
+                (&fold_a_graphs, vec![&fold_b_graphs]),
+            ]
+        } else {
+            vec![(&fit_graphs, vec![&holdout_graphs, &test_graphs])]
+        };
+    // One flat task list over (enabled branch × fit), branch-major. The
+    // branches have separate parameter stores and seed streams, so every
+    // task is independent, and any fan-out inside one runs inline on its
+    // worker. A full-split fit costs about as much as its branch's two fold
+    // fits together, so on two workers each branch's tasks split evenly.
+    let branches: Vec<bool> = [(config.use_gsg, true), (config.use_ldg, false)]
+        .into_iter()
+        .filter_map(|(enabled, gsg)| enabled.then_some(gsg))
+        .collect();
+    let outs = par::par_map_indices(threads, branches.len() * fits.len(), |t| {
+        let (fit, score) = &fits[t % fits.len()];
+        fit_and_score(branches[t / fits.len()], fit, score, config, threads)
+    });
+
+    let mut encoded = EncodedDataset { gsg: None, ldg: None, holdout_labels, test_labels };
+    let (mut gsg_model, mut ldg_model) = (None, None);
+    let mut outs = outs.into_iter();
+    for _ in &branches {
+        let (fitted, mut raw) = outs.next().expect("the full-split fit");
+        let test_raw = raw.pop().expect("the full-split encoder scores the test split");
+        let folds = outs.by_ref().take(fits.len() - 1).flat_map(|(_, raw)| raw);
+        let holdout_raw = raw.into_iter().chain(folds).flatten().collect();
+        let encoding =
+            BranchEncoding { holdout_raw, test_raw, epochs: fitted.scorer().history().to_vec() };
+        match fitted {
+            Fitted::Gsg(m) => (encoded.gsg, gsg_model) = (Some(encoding), Some(m)),
+            Fitted::Ldg(m) => (encoded.ldg, ldg_model) = (Some(encoding), Some(m)),
+        }
     }
+    EncodeOutput { encoded, gsg: gsg_model, ldg: ldg_model }
 }
 
 #[cfg(test)]

@@ -234,14 +234,9 @@ pub trait BranchScorer: Sync {
         &[]
     }
 
-    /// Raw prediction values for each graph, serially.
-    fn raw_scores(&self, graphs: &[&GraphTensors]) -> Vec<f64> {
-        self.raw_scores_par(graphs, 1)
-    }
-
     /// Raw prediction values for each graph, fanned out over `threads`
     /// workers with index-ordered collection (bit-identical to serial).
-    fn raw_scores_par(&self, graphs: &[&GraphTensors], threads: usize) -> Vec<f64> {
+    fn raw_scores(&self, graphs: &[&GraphTensors], threads: usize) -> Vec<f64> {
         par::par_map(threads, graphs, |g| self.raw_score(g))
     }
 }

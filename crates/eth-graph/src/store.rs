@@ -56,15 +56,10 @@ use std::collections::HashSet;
 /// Default time-slice width: 30 days of Unix seconds.
 const DEFAULT_SLICE_SECS: u64 = 30 * 86_400;
 
-/// Environment override for [`StoreConfig::slice_secs`].
-pub const WINDOW_SLICE_ENV: &str = "DBG4ETH_WINDOW_SLICE_SECS";
-/// Environment override for [`StoreConfig::hops`].
-pub const WINDOW_HOPS_ENV: &str = "DBG4ETH_WINDOW_HOPS";
-
 /// Parameters of a [`GraphStore`].
 ///
-/// `#[non_exhaustive]`: construct with [`StoreConfig::new`],
-/// [`StoreConfig::default`] or [`StoreConfig::from_env`].
+/// `#[non_exhaustive]`: construct with [`StoreConfig::new`] or
+/// [`StoreConfig::default`].
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct StoreConfig {
@@ -88,26 +83,6 @@ impl StoreConfig {
         assert!(slice_secs > 0, "time slices need a positive width");
         Self { hops, slice_secs, epoch_start }
     }
-
-    /// Defaults overridden by `DBG4ETH_WINDOW_HOPS` /
-    /// `DBG4ETH_WINDOW_SLICE_SECS` when set.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut c = Self::default();
-        if let Some(h) = env_parse(WINDOW_HOPS_ENV) {
-            c.hops = h;
-        }
-        if let Some(s) = env_parse(WINDOW_SLICE_ENV) {
-            if s > 0 {
-                c.slice_secs = s;
-            }
-        }
-        c
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok().and_then(|v| v.parse().ok())
 }
 
 impl Default for StoreConfig {

@@ -1,14 +1,21 @@
-//! Deterministic, rayon-style task-parallel execution layer.
+//! Deterministic task-parallel execution layer.
 //!
 //! The DBG4ETH pipeline fans work out at *task* granularity — one graph to
-//! lower, one encoder branch to train, one tree to fit, one dataset to
-//! score. Every task here is a pure function of its index and inputs (any
-//! randomness comes from a per-task seed owned by the task itself), so
+//! lower, one (branch, fit) encoder training, one tree to fit, one dataset
+//! to score. Every task here is a pure function of its index and inputs
+//! (any randomness comes from a per-task seed owned by the task itself), so
 //! running tasks on worker threads and collecting results **in index
 //! order** yields output bit-identical to a serial run, for any thread
 //! count. `rayon` itself is not vendored in this offline build environment;
 //! this crate implements the small deterministic subset the workspace needs
 //! on top of `std::thread::scope`.
+//!
+//! Fan-out is **one level deep by construction**: a fan-out issued on a
+//! thread this crate spawned runs inline on that thread, as a serial loop
+//! with the same index-ordered collection, per-task `catch_unwind` and
+//! `par.task` fault probe. A tree of nested fan-outs therefore never runs
+//! more tasks at once than its widest call allows, and needs no shared
+//! pool. A fan-out called from any other thread is unaffected.
 //!
 //! The thread count is resolved from (highest priority first) the
 //! `DBG4ETH_THREADS` environment variable, the caller's requested value,
@@ -17,6 +24,7 @@
 //! with no pool at all, reproducing the historical serial behaviour
 //! exactly.
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -27,10 +35,9 @@ pub const THREADS_ENV: &str = "DBG4ETH_THREADS";
 /// A task body panicked. Each task runs under `catch_unwind`, so one
 /// panicking task becomes one typed error keyed by its *logical index* —
 /// never a torn-down thread pool — and the error set is identical at any
-/// thread count. The fallible entry points ([`try_par_map_indices`],
-/// [`try_join`]) return these per slot; the infallible ones re-raise the
-/// lowest-index panic after every task has run, so even the propagated
-/// panic is deterministic.
+/// thread count. [`try_par_map_indices`] returns these per slot; the
+/// infallible entry points re-raise the lowest-index panic after every task
+/// has run, so even the propagated panic is deterministic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskPanicked {
     /// Index of the task that panicked.
@@ -84,6 +91,12 @@ where
     result
 }
 
+thread_local! {
+    /// Set on the worker threads [`try_par_map_indices`] spawns, so a
+    /// fan-out issued from inside a task runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Bucket edges of the `par.tasks_per_worker` histogram.
 const TASKS_EDGES: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 /// Bucket edges of the `par.worker_utilisation` histogram (busy fraction of
@@ -109,18 +122,20 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// each task isolated under `catch_unwind`.
 ///
 /// With `threads <= 1` (after [`resolve_threads`]-style resolution by the
-/// caller) this is a plain serial loop. Otherwise tasks are claimed from a
-/// shared atomic counter by `min(threads, n)` scoped workers; because each
-/// result is keyed by its task index, the output is independent of which
-/// worker ran which task. A panicking task yields `Err(TaskPanicked)` in
-/// its own slot and every other task still runs, so the result vector is
-/// identical for any thread count.
+/// caller), or when called on a worker thread of another fan-out, this is a
+/// plain serial loop on the calling thread. Otherwise tasks are claimed
+/// from a shared atomic counter by `min(threads, n)` scoped workers, which
+/// run any fan-out of their own inline; because each result is keyed by
+/// its task index, the output is independent of which worker ran which
+/// task. A panicking task yields `Err(TaskPanicked)` in its own slot and
+/// every other task still runs, so the result vector is identical for any
+/// thread count.
 pub fn try_par_map_indices<R, F>(threads: usize, n: usize, f: F) -> Vec<Result<R, TaskPanicked>>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = threads.min(n);
+    let workers = if IN_WORKER.get() { 1 } else { threads.min(n) };
     // Observation only: counters/histograms feed the run-report and never
     // influence scheduling, so outputs stay bit-identical with metrics on.
     let observed = obs::metrics_enabled();
@@ -143,6 +158,7 @@ where
             let next = &next;
             let f = &f;
             handles.push(scope.spawn(move || {
+                IN_WORKER.set(true);
                 let mut local: Vec<(usize, Result<R, TaskPanicked>)> = Vec::new();
                 let mut busy = Duration::ZERO;
                 loop {
@@ -218,62 +234,6 @@ where
     par_map_indices(threads, items.len(), |i| f(&items[i]))
 }
 
-/// [`par_map`] with per-item panic isolation: a panicking item yields
-/// `Err(TaskPanicked)` in its slot, every other item still runs.
-pub fn try_par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<Result<R, TaskPanicked>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_par_map_indices(threads, items.len(), |i| f(&items[i]))
-}
-
-/// Run two independent closures, concurrently when `threads > 1`.
-pub fn join<RA, RB, FA, FB>(threads: usize, fa: FA, fb: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    obs::counter_add("par.joins", 1);
-    if threads <= 1 {
-        let a = fa();
-        let b = fb();
-        return (a, b);
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(fb);
-        let a = fa();
-        let b = hb.join().expect("par join worker panicked");
-        (a, b)
-    })
-}
-
-/// [`join`] with panic isolation: each side runs under `catch_unwind`
-/// (slot indices 0 and 1), so one panicking branch cannot take down the
-/// other's result. Both sides always run to completion.
-pub fn try_join<RA, RB, FA, FB>(
-    threads: usize,
-    fa: FA,
-    fb: FB,
-) -> (Result<RA, TaskPanicked>, Result<RB, TaskPanicked>)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    fn caught<R, F: FnOnce() -> R>(index: usize, f: F) -> Result<R, TaskPanicked> {
-        std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-            obs::counter_add("par.task_panics", 1);
-            TaskPanicked { index, message: panic_message(payload.as_ref()) }
-        })
-    }
-    join(threads, || caught(0, fa), || caught(1, fb))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,15 +268,6 @@ mod tests {
         let _plan = FAULT_PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         assert_eq!(par_map_indices(8, 0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indices(8, 1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let _plan = FAULT_PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for threads in [1, 4] {
-            let (a, b) = join(threads, || 2 + 2, || "ok");
-            assert_eq!((a, b), (4, "ok"));
-        }
     }
 
     #[test]
@@ -404,6 +355,28 @@ mod tests {
     }
 
     #[test]
+    fn nested_fan_outs_run_inline_on_their_task_thread() {
+        let _plan = FAULT_PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let live = AtomicUsize::new(0);
+        let high_water = AtomicUsize::new(0);
+        let out = par_map_indices(2, 4, |outer| {
+            let task_thread = std::thread::current().id();
+            par_map_indices(4, 4, |inner| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(5));
+                live.fetch_sub(1, Ordering::SeqCst);
+                assert_eq!(std::thread::current().id(), task_thread, "nested task left its thread");
+                outer * 4 + inner
+            })
+        });
+        let flat: Vec<usize> = out.into_iter().flatten().collect();
+        assert_eq!(flat, (0..16).collect::<Vec<_>>());
+        let high_water = high_water.load(Ordering::SeqCst);
+        assert!(high_water <= 2, "{high_water} task bodies ran at once under a 2-thread fan-out");
+    }
+
+    #[test]
     fn tasks_see_their_logical_index_when_tracing() {
         let _plan = FAULT_PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         obs::set_trace_enabled(true);
@@ -416,17 +389,5 @@ mod tests {
         }
         // Outside any task the index is cleared again.
         assert_eq!(obs::current_task_index(), None);
-    }
-
-    #[test]
-    fn try_join_isolates_each_side() {
-        let _plan = FAULT_PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for threads in [1, 4] {
-            let (a, b) = try_join(threads, || 41, || -> i32 { panic!("right side") });
-            assert_eq!(a.unwrap(), 41);
-            let e = b.unwrap_err();
-            assert_eq!(e.index, 1);
-            assert_eq!(e.message, "right side");
-        }
     }
 }

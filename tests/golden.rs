@@ -9,9 +9,10 @@
 //! * each test account's GSG and LDG raw score
 //!   ([`BranchScorer::raw_score`], the encoder's log-odds before
 //!   calibration);
-//! * an FNV-1a digest of the serialised model ([`TrainedModel::to_bytes`],
-//!   its one thread-count field pinned), which covers every trained weight
-//!   and every fitted calibrator and GBDT parameter.
+//! * an FNV-1a digest of the serialised model ([`TrainedModel::to_bytes`]),
+//!   which covers every trained weight and every fitted calibrator and GBDT
+//!   parameter. The container holds no resolved thread count, so the digest
+//!   is the same at any `DBG4ETH_THREADS`.
 //!
 //! The served probabilities alone are *not* a bit-level tripwire: they are
 //! GBDT outputs over binned features, so a one-ULP drift in an encoder
@@ -187,16 +188,6 @@ fn render_expected(probs: &[f64], gsg: &[f64], ldg: &[f64], model: u64) -> Strin
     out
 }
 
-/// FNV-1a 64 of the model container, with the classifier's recorded
-/// training thread count pinned to 1: that field is run metadata, which
-/// `DBG4ETH_THREADS` overrides, and every other byte must be identical at
-/// any thread count.
-fn model_digest(bytes: &[u8]) -> u64 {
-    let mut model = TrainedModel::from_bytes(bytes).expect("container round trip");
-    model.classifier.config.parallelism = 1;
-    fnv1a(&model.to_bytes())
-}
-
 /// Parse `expected.txt`: untagged lines are served probabilities, `gsg` /
 /// `ldg` lines branch raw scores, the `model` line the model digest.
 fn parse_expected(text: &str) -> Trace {
@@ -297,7 +288,7 @@ fn golden_trace_is_bit_stable() {
         probs: bits(&probs),
         gsg: bits(&gsg_raw),
         ldg: bits(&ldg_raw),
-        model: model_digest(&bytes),
+        model: fnv1a(&bytes),
     };
 
     if regen {

@@ -131,7 +131,9 @@ fn per_account_latency_histogram_covers_every_scored_account() {
 
 /// A traced pipeline run exports valid Chrome `trace_event` JSON: every
 /// thread's events are time-ordered, begin/end pairs balance in LIFO
-/// order, and the pipeline stages all appear by name.
+/// order, and the pipeline stages all appear by name. The cross-fit
+/// encoder trainings are one flat fan-out, so no more of them are live at
+/// once than the run has worker threads.
 #[test]
 fn traced_pipeline_run_exports_valid_chrome_trace_json() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -155,6 +157,8 @@ fn traced_pipeline_run_exports_valid_chrome_trace_json() {
     let mut stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
     let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
     let mut names: BTreeSet<String> = BTreeSet::new();
+    // (timestamp, +1 at a training's begin / -1 at its end).
+    let mut trainings: Vec<(f64, i32)> = Vec::new();
     for ev in events {
         let name = ev.get("name").and_then(obs::Json::as_str).expect("event name").to_owned();
         let ph = ev.get("ph").and_then(obs::Json::as_str).expect("event phase");
@@ -172,6 +176,9 @@ fn traced_pipeline_run_exports_valid_chrome_trace_json() {
             }
             other => panic!("unexpected phase {other:?}"),
         }
+        if name == "train.gsg" || name == "train.ldg" {
+            trainings.push((ts, if ph == "B" { 1 } else { -1 }));
+        }
         names.insert(name);
     }
     for (tid, stack) in stacks {
@@ -180,6 +187,18 @@ fn traced_pipeline_run_exports_valid_chrome_trace_json() {
     for expected in ["pipeline.run", "pipeline.encode", "train.gsg", "train.ldg"] {
         assert!(names.contains(expected), "stage {expected} missing from trace");
     }
+    // Sweep the begin/end edges in time order, ends first on a tie.
+    trainings.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let (mut live, mut most_live) = (0, 0);
+    for (_, edge) in trainings {
+        live += edge;
+        most_live = most_live.max(live);
+    }
+    let threads = par::resolve_threads(2);
+    assert!(
+        most_live as usize <= threads,
+        "{most_live} encoder trainings were live at once on {threads} worker threads"
+    );
 }
 
 /// With metrics and tracing both off, probes must cost a single relaxed
