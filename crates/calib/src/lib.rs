@@ -1,6 +1,6 @@
 //! # calib — confidence calibration (Section IV-C)
 //!
-//! The joint prediction and calibration module: [`ece`] (expected
+//! The joint prediction and calibration module: [`fn@ece`] (expected
 //! calibration error), six calibration methods ([`Calibrator`] /
 //! [`CalibMethod`]: temperature scaling, beta, logistic, histogram binning,
 //! isotonic regression, BBQ) and the adaptive ΔECE-weighted ensemble

@@ -656,16 +656,22 @@ impl TrainedModel {
         bytes
     }
 
-    /// Save to a file.
+    /// Save [`TrainedModel::to_bytes`] to a file atomically: the bytes land
+    /// in a temporary sibling which is then renamed over `path`, so no
+    /// reader — and no crash mid-save — ever sees a truncated or
+    /// half-written container there.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
         let _span = obs::span("model.save");
-        if faults::active() {
-            // Route through the byte path so `corrupt@model.*` faults can
-            // damage the serialised container before it hits disk.
-            std::fs::write(path, self.to_bytes())?;
-            return Ok(());
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+        let write =
+            std::fs::write(&tmp, self.to_bytes()).and_then(|()| std::fs::rename(&tmp, path));
+        if write.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        self.writer().write_to(path)
+        Ok(write?)
     }
 
     fn writer(&self) -> ModelWriter {
@@ -725,18 +731,6 @@ impl TrainedModel {
     /// [`TrainedModel::load`] from an in-memory container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
         let r = ModelReader::from_bytes(bytes)?;
-        Self::from_reader(&r, true).map(|(model, _)| model)
-    }
-
-    /// Load via a read-only memory mapping of the container file, so N
-    /// serving processes opening the same model share its pages. Section
-    /// checksums are verified on first touch (all load-bearing sections are
-    /// touched during reconstruction, so damage still surfaces here as a
-    /// typed error) and the weights are copied out during reconstruction —
-    /// the mapping itself is dropped when this returns.
-    pub fn load_mmap(path: impl AsRef<Path>) -> Result<Self, ModelIoError> {
-        let _span = obs::span("model.load");
-        let r = ModelReader::open_mmap(path)?;
         Self::from_reader(&r, true).map(|(model, _)| model)
     }
 
@@ -1237,7 +1231,7 @@ mod tests {
     }
 
     /// Tag 1 (a model trained under the removed Fast profile) and unknown
-    /// tags are typed errors on strict, lenient and mmap loads alike.
+    /// tags are typed errors on strict, lenient and file loads alike.
     #[test]
     fn unknown_numerics_tag_is_a_typed_error() {
         for (tag, names) in [(1u8, "removed Fast profile"), (9, "unknown numerics tag 9")] {
@@ -1253,7 +1247,7 @@ mod tests {
             let loads = [
                 ("strict", TrainedModel::from_bytes(&bytes).err()),
                 ("lenient", TrainedModel::from_bytes_degraded(&bytes).err()),
-                ("mmap", TrainedModel::load_mmap(&path).err()),
+                ("file", TrainedModel::load(&path).err()),
             ];
             std::fs::remove_file(&path).unwrap();
             for (load, err) in loads {

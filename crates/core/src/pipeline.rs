@@ -83,7 +83,7 @@ pub(crate) struct Branch {
     pub(crate) holdout_p: Vec<f64>,
     pub(crate) test_p: Vec<f64>,
     /// The fitted adaptive ensemble (`None` when calibration is disabled),
-    /// kept so [`crate::train`] can persist it for the serving path.
+    /// kept so [`crate::Session::train`] can persist it for the serving path.
     pub(crate) calibrator: Option<AdaptiveCalibrator>,
     pub(crate) diagnostics: BranchDiagnostics,
 }
@@ -168,8 +168,9 @@ pub struct BranchEncoding {
 
 /// Stages 2-3 applied to every enabled branch: calibrated probabilities on
 /// the holdout and test splits, stacked into classifier feature rows.
-/// Shared by [`finish`] (fit-and-predict in one go) and [`crate::train`]
-/// (which additionally keeps the fitted calibrators and classifier).
+/// Shared by [`finish`] (fit-and-predict in one go) and
+/// [`crate::Session::train`] (which additionally keeps the fitted
+/// calibrators and classifier).
 pub(crate) struct CalibratedBranches {
     pub(crate) branches: Vec<Branch>,
     pub(crate) gsg: Option<BranchDiagnostics>,
@@ -277,8 +278,8 @@ pub fn run(dataset: &GraphDataset, train_frac: f64, config: &Dbg4EthConfig) -> R
 
 /// Lower account subgraphs into tensors, honouring the configured feature
 /// mode. Pure per-graph work fanned out over `threads`; shared by the
-/// training pipeline and the [`crate::infer`] serving path so both score
-/// accounts through byte-identical features.
+/// training pipeline and the [`crate::Session::score`] serving path so both
+/// score accounts through byte-identical features.
 pub(crate) fn lower_graphs(
     graphs: &[eth_graph::Subgraph],
     config: &Dbg4EthConfig,
@@ -304,7 +305,8 @@ pub(crate) fn lower_one(g: &eth_graph::Subgraph, config: &Dbg4EthConfig) -> Grap
 }
 
 /// Everything [`encode`] computes plus the trained full-split encoders,
-/// which [`crate::train`] packages into a persistable [`crate::TrainedModel`].
+/// which [`crate::Session::train`] packages into a persistable
+/// [`crate::TrainedModel`].
 pub(crate) struct EncodeOutput {
     pub(crate) encoded: EncodedDataset,
     pub(crate) gsg: Option<TrainedGsg>,

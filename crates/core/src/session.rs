@@ -95,11 +95,11 @@ impl Session {
         Ok(Self { model, degradation })
     }
 
-    /// Open a model file through a read-only memory mapping (see
-    /// [`TrainedModel::load_mmap`]): strict validation, section checksums
-    /// verified on first touch, container pages shared across processes.
+    /// The same strict open as [`Session::open`]. Kept only because the
+    /// `perfbench/` workloads call it by this name; once they call `open`,
+    /// delete it.
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<Self, Error> {
-        Ok(Self::from_model(TrainedModel::load_mmap(path)?))
+        Self::open(path)
     }
 
     /// Wrap an already-loaded model (no degradation).

@@ -3,7 +3,7 @@
 //! The paper evaluates on real on-chain data plus label clouds, which this
 //! reproduction does not have (see DESIGN.md, substitutions). This crate
 //! generates the closest synthetic equivalent: six labelled account
-//! categories with distinct behavioural profiles ([`profile`]), a simulated
+//! categories with distinct behavioural profiles ([`fn@profile`]), a simulated
 //! 2015-2024 transaction stream ([`World`]), and per-category binary
 //! graph-classification datasets ([`Benchmark`]) matching Table II's shape.
 

@@ -12,7 +12,7 @@
 //!   (Eqs. 10-13),
 //! * [`LdgEncoder`] — the local dynamic encoder: GCN + GRU evolution
 //!   (Eqs. 14-18), DiffPool (Eqs. 19-21), time-slice read-out (Eqs. 22-23),
-//! * [`augment`] / [`nt_xent`] — adaptive augmentation and the contrastive
+//! * [`fn@augment`] / [`nt_xent`] — adaptive augmentation and the contrastive
 //!   objective (Section IV-A3),
 //! * [`GsgBatch`] / [`LdgBatch`] — block-diagonal packing feeding each
 //!   encoder's one forward, `forward_batch`: training packs a mini-batch,

@@ -27,7 +27,6 @@
 
 mod crc;
 mod error;
-mod mmap;
 mod reader;
 mod writer;
 
@@ -48,12 +47,11 @@ pub const MAGIC: [u8; 4] = *b"DBGM";
 /// can score singleton batches without batch-composition-dependent scaling.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Oldest container version this build still reads (every load path,
-/// including [`ModelReader::open_mmap`], accepts
-/// `MIN_FORMAT_VERSION..=FORMAT_VERSION`). Version 2 branch sections carry
-/// no confidence scaler; they load fine, and a pinned-scaling request
-/// against them falls back to batch refitting with the scores flagged
-/// degraded (`infer.scaler_fallbacks`).
+/// Oldest container version this build still reads (strict and lenient
+/// loads alike accept `MIN_FORMAT_VERSION..=FORMAT_VERSION`). Version 2
+/// branch sections carry no confidence scaler; they load fine, and a
+/// pinned-scaling request against them falls back to batch refitting with
+/// the scores flagged degraded (`infer.scaler_fallbacks`).
 pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on a section name, so a corrupted length field cannot trigger
@@ -122,6 +120,7 @@ mod tests {
         let mut w = ModelWriter::new();
         let mut a = SectionWriter::new();
         a.put_u32(7);
+        a.put_f64s(&[1.5, -2.25, f64::NAN]);
         w.push("alpha", a);
         let mut b = SectionWriter::new();
         b.put_str("hello");
@@ -131,7 +130,11 @@ mod tests {
         let r = ModelReader::from_bytes(&bytes).unwrap();
         let names: Vec<&str> = r.section_names().collect();
         assert_eq!(names, ["alpha", "beta"]);
-        assert_eq!(r.section("alpha").unwrap().get_u32().unwrap(), 7);
+        let mut alpha = r.section("alpha").unwrap();
+        assert_eq!(alpha.get_u32().unwrap(), 7);
+        // Floats round-trip bit for bit, NaN payload included.
+        let bits: Vec<u64> = alpha.get_f64s().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [1.5f64.to_bits(), (-2.25f64).to_bits(), f64::NAN.to_bits()]);
         assert_eq!(r.section("beta").unwrap().get_str().unwrap(), "hello");
     }
 
@@ -256,57 +259,6 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(ModelReader::from_bytes_lenient(&bad).is_err());
-    }
-
-    #[test]
-    fn mmap_load_round_trips_and_defers_crc_to_first_touch() {
-        let mut w = ModelWriter::new();
-        let mut a = SectionWriter::new();
-        a.put_f64s(&[1.5, -2.25, f64::NAN]);
-        w.push("alpha", a);
-        let mut b = SectionWriter::new();
-        b.put_str("mapped");
-        w.push("beta", b);
-        let mut bytes = w.to_bytes();
-        assert!(corrupt_section(&mut bytes, "beta"));
-
-        let path = std::env::temp_dir().join(format!("dbg4eth-modelio-{}.bin", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        // Structure parses even though one checksum is bad — the damage is
-        // only discovered when that section is first touched.
-        let r = ModelReader::open_mmap(&path).unwrap();
-        let names: Vec<&str> = r.section_names().collect();
-        assert_eq!(names, ["alpha", "beta"]);
-        let vals = r.section("alpha").unwrap().get_f64s().unwrap();
-        assert_eq!(vals[0].to_bits(), 1.5f64.to_bits());
-        assert_eq!(vals[2].to_bits(), f64::NAN.to_bits());
-        match r.section("beta") {
-            Err(ModelIoError::ChecksumMismatch { section, stored, computed }) => {
-                assert_eq!(section, "beta");
-                assert_ne!(stored, computed);
-            }
-            other => panic!("expected ChecksumMismatch on first touch, got {other:?}"),
-        }
-        // The verdict is sticky: a second touch fails identically.
-        assert!(matches!(r.section("beta"), Err(ModelIoError::ChecksumMismatch { .. })));
-        drop(r);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_load_rejects_structural_damage_eagerly() {
-        let mut bytes = ModelWriter::new().to_bytes();
-        bytes[0] = b'X';
-        let path =
-            std::env::temp_dir().join(format!("dbg4eth-modelio-bad-{}.bin", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(ModelReader::open_mmap(&path), Err(ModelIoError::BadMagic { .. })));
-        std::fs::remove_file(&path).ok();
-        // A missing file is a typed Io error, not a panic.
-        assert!(matches!(
-            ModelReader::open_mmap("/nonexistent/dbg4eth-model.bin"),
-            Err(ModelIoError::Io(_))
-        ));
     }
 
     #[test]

@@ -1,85 +1,50 @@
 //! Parsing and validating a model container.
 //!
-//! Structural validation (magic, version, section framing) always happens up
-//! front; checksum validation is either eager or lazy depending on how the
-//! container was opened:
+//! Every open validates the whole container up front: structure (magic,
+//! version, section framing) and every section's CRC-32. What differs is
+//! the response to a checksum mismatch:
 //!
-//! - [`ModelReader::from_bytes`] / [`ModelReader::read_from`] verify every
-//!   section CRC immediately — by the time a caller holds a
-//!   [`SectionReader`], the bytes it walks are known-intact.
-//! - [`ModelReader::from_bytes_lenient`] verifies eagerly too, but a
-//!   mismatch quarantines only that section instead of rejecting the whole
-//!   container.
-//! - [`ModelReader::open_mmap`] memory-maps the file and defers each
-//!   section's CRC to its first [`ModelReader::section`] call, so a serving
-//!   process pays for exactly the sections it touches and N processes share
-//!   the mapped pages.
+//! - [`ModelReader::from_bytes`] rejects the container at the first
+//!   damaged section — by the time a caller holds a [`SectionReader`], the
+//!   bytes it walks are known-intact.
+//! - [`ModelReader::from_bytes_lenient`] quarantines only the damaged
+//!   sections and keeps the intact ones readable.
 //!
-//! In every mode a section whose checksum disagrees is unreadable:
-//! [`ModelReader::section`] returns [`ModelIoError::ChecksumMismatch`] with
-//! the stored/computed evidence. Remaining failures inside a verified
-//! payload (bad enum tag, short payload) are logic-level
+//! Either way a damaged section is unreadable: [`ModelReader::section`]
+//! returns [`ModelIoError::ChecksumMismatch`] with the stored/computed
+//! evidence. Remaining failures inside a verified payload (bad enum tag,
+//! short payload) are logic-level
 //! [`ModelIoError::Corrupt`]/[`ModelIoError::Truncated`] — still typed,
 //! still no panic.
 
 use crate::crc::crc32_concat;
-use crate::mmap::Map;
 use crate::{ModelIoError, FORMAT_VERSION, MAGIC, MAX_NAME_LEN, MIN_FORMAT_VERSION};
 use std::ops::Range;
-use std::path::Path;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A validated model container, indexing sections by name.
 #[derive(Debug)]
 pub struct ModelReader {
-    backing: Backing,
+    bytes: Vec<u8>,
     sections: Vec<SectionMeta>,
 }
-
-/// Where the container's bytes live: an owned heap copy (the classic load
-/// path) or a read-only file mapping shared with other processes.
-#[derive(Debug)]
-enum Backing {
-    Owned(Vec<u8>),
-    Mapped(Map),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Owned(v) => v,
-            Backing::Mapped(m) => m.bytes(),
-        }
-    }
-}
-
-/// CRC state of one section, advanced monotonically on first touch.
-const CRC_UNCHECKED: u8 = 0;
-const CRC_OK: u8 = 1;
-const CRC_BAD: u8 = 2;
 
 #[derive(Debug)]
 struct SectionMeta {
     name: String,
-    /// Byte range of the payload within the backing buffer.
+    /// Byte range of the payload within `ModelReader::bytes`.
     payload: Range<usize>,
     stored: u32,
-    /// `CRC_UNCHECKED` → `CRC_OK`/`CRC_BAD`. Racing first touches compute
-    /// the same answer over immutable bytes, so relaxed ordering suffices.
-    state: AtomicU8,
+    /// CRC-32 of name and payload, computed once at parse time.
+    computed: u32,
 }
 
 impl SectionMeta {
-    fn verify(&self, bytes: &[u8]) -> u8 {
-        match self.state.load(Ordering::Relaxed) {
-            CRC_UNCHECKED => {
-                let computed = crc32_concat(&[self.name.as_bytes(), &bytes[self.payload.clone()]]);
-                let state = if computed == self.stored { CRC_OK } else { CRC_BAD };
-                self.state.store(state, Ordering::Relaxed);
-                state
-            }
-            state => state,
-        }
+    fn damage(&self) -> Option<DamagedSection> {
+        (self.stored != self.computed).then(|| DamagedSection {
+            name: self.name.clone(),
+            stored: self.stored,
+            computed: self.computed,
+        })
     }
 }
 
@@ -92,6 +57,12 @@ pub struct DamagedSection {
     pub computed: u32,
 }
 
+impl From<DamagedSection> for ModelIoError {
+    fn from(d: DamagedSection) -> Self {
+        ModelIoError::ChecksumMismatch { section: d.name, stored: d.stored, computed: d.computed }
+    }
+}
+
 /// Cursor over one section's payload.
 #[derive(Debug)]
 pub struct SectionReader<'a> {
@@ -100,31 +71,12 @@ pub struct SectionReader<'a> {
 }
 
 impl ModelReader {
-    /// Read a container into memory from a file and validate it eagerly.
-    pub fn read_from(path: impl AsRef<Path>) -> Result<Self, ModelIoError> {
-        Self::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Memory-map a container file read-only. Structure (magic, version,
-    /// framing) is validated now; each section's checksum is validated
-    /// lazily on its first [`ModelReader::section`] call, so page faults
-    /// and CRC work happen only for sections actually touched.
-    pub fn open_mmap(path: impl AsRef<Path>) -> Result<Self, ModelIoError> {
-        let map = Map::open(path.as_ref())?;
-        let sections = Self::parse_structure(map.bytes())?;
-        Ok(Self { backing: Backing::Mapped(map), sections })
-    }
-
     /// Validate magic, version, framing and all checksums.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
         let (reader, damaged) = Self::from_bytes_lenient(bytes)?;
         match damaged.into_iter().next() {
             None => Ok(reader),
-            Some(d) => Err(ModelIoError::ChecksumMismatch {
-                section: d.name,
-                stored: d.stored,
-                computed: d.computed,
-            }),
+            Some(d) => Err(d.into()),
         }
     }
 
@@ -140,21 +92,12 @@ impl ModelReader {
     /// load path serves whatever branches survived single-section damage.
     pub fn from_bytes_lenient(bytes: &[u8]) -> Result<(Self, Vec<DamagedSection>), ModelIoError> {
         let sections = Self::parse_structure(bytes)?;
-        let mut damaged = Vec::new();
-        for meta in &sections {
-            if meta.verify(bytes) == CRC_BAD {
-                damaged.push(DamagedSection {
-                    name: meta.name.clone(),
-                    stored: meta.stored,
-                    computed: crc32_concat(&[meta.name.as_bytes(), &bytes[meta.payload.clone()]]),
-                });
-            }
-        }
-        Ok((Self { backing: Backing::Owned(bytes.to_vec()), sections }, damaged))
+        let damaged = sections.iter().filter_map(SectionMeta::damage).collect();
+        Ok((Self { bytes: bytes.to_vec(), sections }, damaged))
     }
 
     /// Walk the framing and record each section's name, payload range and
-    /// stored checksum — no CRC work, no payload copies.
+    /// stored and computed checksums.
     fn parse_structure(bytes: &[u8]) -> Result<Vec<SectionMeta>, ModelIoError> {
         let mut cur = Cursor { buf: bytes, pos: 0 };
         let magic = cur.take(4, "magic")?;
@@ -189,13 +132,14 @@ impl ModelReader {
                 .to_string();
             let payload_len = cur.u64("section payload length")? as usize;
             let start = cur.pos;
-            cur.take(payload_len, "section payload")?;
+            let payload = cur.take(payload_len, "section payload")?;
+            let computed = crc32_concat(&[name_bytes, payload]);
             let stored = cur.u32("section checksum")?;
             sections.push(SectionMeta {
                 name,
                 payload: start..start + payload_len,
                 stored,
-                state: AtomicU8::new(CRC_UNCHECKED),
+                computed,
             });
         }
         if cur.pos != bytes.len() {
@@ -212,31 +156,17 @@ impl ModelReader {
         self.sections.iter().map(|m| m.name.as_str())
     }
 
-    /// Whether a section is present.
-    #[must_use]
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|m| m.name == name)
-    }
-
-    /// A cursor over the named section's payload, verifying its checksum on
-    /// first touch. A damaged section yields
+    /// A cursor over the named section's payload. A damaged section yields
     /// [`ModelIoError::ChecksumMismatch`] on every call.
     pub fn section(&self, name: &str) -> Result<SectionReader<'_>, ModelIoError> {
-        let bytes = self.backing.bytes();
         let meta = self
             .sections
             .iter()
             .find(|m| m.name == name)
             .ok_or_else(|| ModelIoError::MissingSection { name: name.to_string() })?;
-        match meta.verify(bytes) {
-            CRC_OK => Ok(SectionReader::new(&bytes[meta.payload.clone()])),
-            _ => Err(ModelIoError::ChecksumMismatch {
-                section: meta.name.clone(),
-                stored: meta.stored,
-                // Recomputed only on this cold error path; keeping the meta
-                // a bare state byte keeps the hot path allocation-free.
-                computed: crc32_concat(&[meta.name.as_bytes(), &bytes[meta.payload.clone()]]),
-            }),
+        match meta.damage() {
+            None => Ok(SectionReader::new(&self.bytes[meta.payload.clone()])),
+            Some(d) => Err(d.into()),
         }
     }
 }

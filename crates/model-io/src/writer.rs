@@ -1,9 +1,7 @@
-//! Building a model container in memory and flushing it to disk.
+//! Building a model container in memory.
 
 use crate::crc::crc32_concat;
-use crate::{ModelIoError, FORMAT_VERSION, MAGIC};
-use std::io::Write;
-use std::path::Path;
+use crate::{FORMAT_VERSION, MAGIC};
 
 /// Accumulates the primitive values of one section as little-endian bytes.
 /// Floats are stored as IEEE-754 bit patterns so round-trips are exact.
@@ -127,28 +125,5 @@ impl ModelWriter {
             out.extend_from_slice(&crc32_concat(&[name.as_bytes(), payload]).to_le_bytes());
         }
         out
-    }
-
-    /// Write the container to a file atomically: the bytes land in a
-    /// temporary sibling which is then renamed over `path`. A reader — in
-    /// particular a live `ModelReader::open_mmap` mapping, whose `&[u8]`
-    /// and cached CRC verdicts assume the bytes never change — can never
-    /// observe a truncated or half-written container; replacing a model
-    /// swaps the inode while existing mappings keep the old bytes.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-        let path = path.as_ref();
-        let mut tmp_name = path.as_os_str().to_owned();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp_name);
-        let write = (|| {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            f.write_all(&self.to_bytes())?;
-            f.flush()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if write.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        Ok(write?)
     }
 }

@@ -8,7 +8,7 @@
 //!   formatting entirely. Events go to *stderr*, so stdout stays
 //!   machine-readable (tables only) for every experiment binary.
 //! * **Metrics registry** — counters, gauges, histograms with fixed bucket
-//!   edges, and span timers with RAII guards ([`span`]). Collection is
+//!   edges, and span timers with RAII guards ([`fn@span`]). Collection is
 //!   switched on by the presence of `DBG4ETH_METRICS` (or by
 //!   [`set_metrics_enabled`] from tests and harnesses).
 //! * **JSON run-reports** — a versioned, serde-free [`Json`] value

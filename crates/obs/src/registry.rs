@@ -236,7 +236,7 @@ pub fn observe(name: &str, edges: &[f64], v: f64) {
     h.observe(v);
 }
 
-/// Record a completed span measured outside the RAII [`crate::span`] API —
+/// Record a completed span measured outside the RAII [`fn@crate::span`] API —
 /// a duration that crosses threads, such as a request's queue wait between
 /// the accepting connection and the worker that drains it. The whole
 /// duration counts as self time (there is no on-thread nesting to deduct).

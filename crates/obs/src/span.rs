@@ -19,7 +19,7 @@
 //!   enclosing frame is its own root: its time stays attributed to itself,
 //!   not to the fan-out span on the dispatching thread.
 //! * **Timeline events** — with `DBG4ETH_TRACE` set, every span records a
-//!   begin/end pair into the per-thread trace ring (see [`crate::trace`]),
+//!   begin/end pair into the per-thread trace ring (see [`mod@crate::trace`]),
 //!   tagged with the logical `par` task index when inside a worker task.
 
 use crate::log::{log_enabled, Level};

@@ -3,7 +3,7 @@
 //!
 //! Tracing is enabled by the presence of `DBG4ETH_TRACE=<path>` (checked
 //! once, cached in an atomic — an inert probe is a single relaxed load).
-//! Every [`crate::span`] then records a begin and an end event into a ring
+//! Every [`fn@crate::span`] then records a begin and an end event into a ring
 //! buffer owned by the recording thread: monotonic nanoseconds since the
 //! first event of the process, the thread's stable trace id, and — when the
 //! span runs inside a `par` worker — the logical task index (see

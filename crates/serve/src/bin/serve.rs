@@ -4,10 +4,9 @@
 //! serve [MODEL_PATH]        # default: model.dbgm
 //! ```
 //!
-//! Loads the model once through a read-only memory mapping
-//! ([`Session::open_mmap`]) — section checksums verify on first touch and
-//! the container pages are shared with any other process serving the same
-//! file — then accepts scoring requests until a client sends `Shutdown`.
+//! Loads the model once with [`Session::open`] — every section checksum is
+//! verified before the first request is accepted — then accepts scoring
+//! requests until a client sends `Shutdown`.
 //!
 //! Exit codes: `0` after a clean shutdown (request-level faults, shed
 //! load and expired deadlines are normal operation and never change the
@@ -69,7 +68,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let session = match Session::open_mmap(&model_path) {
+    let session = match Session::open(&model_path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("serve: cannot load model {model_path}: {e}");

@@ -1,7 +1,7 @@
 //! # serve — the resilient long-lived score service
 //!
-//! A daemon that loads one trained model (read-only, memory-mapped via
-//! [`dbg4eth::Session::open_mmap`]) and scores account subgraphs over a
+//! A daemon that loads one trained model (strictly, via
+//! [`dbg4eth::Session::open`]) and scores account subgraphs over a
 //! length-prefixed socket protocol. Designed around one rule: **overload
 //! and partial failure are normal operation**, so every failure mode has
 //! a typed, bounded, counted response instead of a crash or an unbounded

@@ -169,12 +169,12 @@ impl Tensor {
     ///
     /// The kernel processes four output rows per pass so each `b` row load
     /// is shared, and accumulates each 4×16 output tile in registers (the
-    /// column tile of [`MM_JT`]) so partial sums never round-trip through
+    /// column tile of `MM_JT`) so partial sums never round-trip through
     /// memory — but every output element still receives exactly the per-row
     /// sequence of `+= a * b` operations above: tiling changes which
     /// elements are in flight, never the order of any single element's
     /// accumulation. Columns past the last whole tile (all of them when
-    /// `other` is narrower than [`MM_JT`], like DiffPool's assignment
+    /// `other` is narrower than `MM_JT`, like DiffPool's assignment
     /// GEMM) run through the same register tile over a zero-padded copy of
     /// `other`'s tail columns; the padding lanes are discarded.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {

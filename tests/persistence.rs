@@ -5,7 +5,7 @@
 //! in-memory model, for every account category and at any worker-thread
 //! count — and a damaged model file is always a typed error, never a panic.
 
-use dbg4eth::{run, Dbg4EthConfig, InferOptions, ModelIoError, Session, TrainedModel};
+use dbg4eth::{run, Dbg4EthConfig, Error, InferOptions, ModelIoError, Session, TrainedModel};
 use eth_graph::{SamplerConfig, Subgraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale, GraphDataset};
 use std::path::PathBuf;
@@ -261,5 +261,39 @@ fn corrupted_model_files_fail_with_typed_errors() {
     assert!(matches!(
         TrainedModel::from_bytes(&model_io::ModelWriter::new().to_bytes()),
         Err(ModelIoError::MissingSection { .. })
+    ));
+
+    // An extra section the model never reads: intact it is ignored, damaged
+    // it fails every strict open, because each one verifies every section
+    // checksum before returning — not only those reconstruction touches.
+    let mut extra = model_io::ModelWriter::new();
+    let mut s = model_io::SectionWriter::new();
+    s.put_str("never read by the model");
+    extra.push("extra", s);
+    let mut with_extra = bytes.clone();
+    let n_sections = u32::from_le_bytes(with_extra[8..12].try_into().unwrap());
+    with_extra[8..12].copy_from_slice(&(n_sections + 1).to_le_bytes());
+    with_extra.extend_from_slice(&extra.to_bytes()[12..]); // past the 12-byte header
+    let path = scratch_path("extra-section.dbgm");
+    std::fs::write(&path, &with_extra).unwrap();
+    Session::open(&path).expect("an intact unknown section is ignored");
+    assert!(model_io::corrupt_section(&mut with_extra, "extra"));
+    std::fs::write(&path, &with_extra).unwrap();
+    let opens = [("open", Session::open(&path)), ("open_mmap", Session::open_mmap(&path))];
+    for (open, result) in opens {
+        match result {
+            Err(Error::Io(ModelIoError::ChecksumMismatch { section, .. })) => {
+                assert_eq!(section, "extra", "{open}")
+            }
+            Err(e) => panic!("{open}: expected ChecksumMismatch on 'extra', got {e}"),
+            Ok(_) => panic!("{open}: loaded a container with a damaged section"),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+
+    // A missing file is a typed Io error, not a panic.
+    assert!(matches!(
+        Session::open(scratch_path("no-such-model.dbgm")),
+        Err(Error::Io(ModelIoError::Io(_)))
     ));
 }

@@ -1,8 +1,8 @@
 //! Tier-2 chaos suite for the score service.
 //!
 //! Boots real [`ScoreServer`]s (in-process, on loopback) against a model
-//! trained once and reopened through the mmap path — the same path the
-//! daemon uses — then drives faults through the serving sites:
+//! trained once and reopened through `Session::open` — the same strict
+//! open the daemon uses — then drives faults through the serving sites:
 //! connections dropped at accept, frames corrupted on the wire, workers
 //! panicking or stalling past deadlines, clients slow-lorising mid-frame,
 //! and more load than the admission queue can hold. The invariants:
@@ -51,7 +51,7 @@ fn with_plan<T>(spec: &str, f: impl FnOnce() -> T) -> T {
 }
 
 struct Fixture {
-    /// Saved v3 container; every server reopens it through `open_mmap`.
+    /// Saved v3 container; every server reopens it through `Session::open`.
     model_path: PathBuf,
     accounts: Vec<Subgraph>,
     /// Clean pinned-scaling score bits, the baseline for every blast
@@ -88,8 +88,8 @@ fn fixture() -> &'static Fixture {
             std::env::temp_dir().join(format!("dbg4eth-serve-chaos-{}.dbgm", std::process::id()));
         session.save(&model_path).expect("save model");
 
-        // The serving baseline: the mmap-reopened model, pinned scaling.
-        let reopened = Session::open_mmap(&model_path).expect("open_mmap");
+        // The serving baseline: the reopened model, pinned scaling.
+        let reopened = Session::open(&model_path).expect("open");
         let opts = InferOptions { pinned_scaling: true, ..InferOptions::default() };
         let report = reopened.score_with(&accounts, &opts).expect("clean scoring");
         let clean = report
@@ -106,7 +106,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn server(workers: usize, queue_depth: usize, idle: Duration, cache: usize) -> ScoreServer {
-    let session = Session::open_mmap(&fixture().model_path).expect("open_mmap");
+    let session = Session::open(&fixture().model_path).expect("open");
     let config = ServeConfig {
         workers,
         queue_depth,
