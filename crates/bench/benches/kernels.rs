@@ -2,8 +2,8 @@
 //! table and figure: sampling (Table II), feature extraction (Table I,
 //! Figs. 4-5), GSG / LDG training steps (Tables III-VI, Figs. 8-9),
 //! augmentation (Fig. 9a), calibration (Fig. 6), classifiers (Fig. 7),
-//! walk embeddings (Table III rows 1-2, 12) and the Strict activation
-//! kernels of the GSG / LDG forward.
+//! walk embeddings (Table III rows 1-2, 12), the per-account LDG scoring
+//! forward and the Strict activation kernels of the GSG / LDG forward.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +20,7 @@ use nn::{Ctx, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tensor::Tape;
+use tensor::{BufferPool, Tape};
 
 fn small_world() -> (World, TxGraph) {
     let world = World::generate(
@@ -89,18 +89,22 @@ fn bench_gsg_step(c: &mut Criterion) {
     });
 }
 
-/// Tables III-VI / Fig. 9b kernel: one LDG forward+backward pass over one
-/// account packed alone.
-fn bench_ldg_step(c: &mut Criterion) {
-    let sg = one_subgraph();
-    let cfg = Dbg4EthConfig::fast();
-    let g = GraphTensors::from_subgraph(&sg, cfg.t_slices);
+/// An LDG encoder under `cfg` and one account packed alone for it.
+fn ldg_one_account(cfg: &Dbg4EthConfig) -> (ParamStore, LdgEncoder, LdgBatch) {
+    let g = GraphTensors::from_subgraph(&one_subgraph(), cfg.t_slices);
     let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
     let mut ldg_cfg = cfg.ldg;
     ldg_cfg.t_slices = cfg.t_slices;
     let enc = LdgEncoder::new(&mut store, &mut rng, ldg_cfg);
     let batch = LdgBatch::pack(&[&g], cfg.t_slices);
+    (store, enc, batch)
+}
+
+/// Tables III-VI / Fig. 9b kernel: one LDG forward+backward pass over one
+/// account packed alone.
+fn bench_ldg_step(c: &mut Criterion) {
+    let (mut store, enc, batch) = ldg_one_account(&Dbg4EthConfig::fast());
     c.bench_function("table4/ldg_forward_backward", |b| {
         b.iter(|| {
             store.zero_grad();
@@ -111,6 +115,24 @@ fn bench_ldg_step(c: &mut Criterion) {
             tape.backward(loss);
             ctx.accumulate_grads(&tape, &mut store);
             black_box(tape.value(loss).item())
+        })
+    });
+}
+
+/// Serving kernel: the paper-config LDG forward for one account packed
+/// alone, on a forward-only scoring tape over a warm pool — what a serve
+/// worker runs per account, with each slice's activations recycled.
+fn bench_ldg_score(c: &mut Criterion) {
+    let (store, enc, batch) = ldg_one_account(&Dbg4EthConfig::default());
+    let mut pool = BufferPool::new();
+    c.bench_function("table4/ldg_score_one_account", |b| {
+        b.iter(|| {
+            let mut tape = Tape::scoring(std::mem::take(&mut pool));
+            let mut ctx = Ctx::new(&store);
+            let out = enc.forward_batch(&mut tape, &mut ctx, &store, black_box(&batch));
+            let logit = tape.value(out.logits).get(0, 1);
+            pool = tape.into_pool();
+            black_box(logit)
         })
     });
 }
@@ -231,7 +253,7 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_sampling, bench_features, bench_gsg_step, bench_ldg_step,
-        bench_augment, bench_calibration, bench_gbdt, bench_embedding,
+        bench_ldg_score, bench_augment, bench_calibration, bench_gbdt, bench_embedding,
         bench_generation, bench_activations
 }
 criterion_main!(kernels);

@@ -221,9 +221,11 @@ pub fn train_ldg(graphs: &[&GraphTensors], config: &Dbg4EthConfig) -> TrainedLdg
 }
 
 /// A trained encoder branch that can score graphs. Inference packs each
-/// graph alone onto a fresh tape, so scoring different graphs from different
-/// worker threads is safe and each graph's result is independent of thread
-/// count and of what else is scored beside it.
+/// graph alone onto a fresh forward-only scoring tape ([`Tape::scoring`]),
+/// so scoring different graphs from different worker threads is safe and
+/// each graph's result is independent of thread count and of what else is
+/// scored beside it. A scoring tape runs the training op chain bit for bit;
+/// it only recycles the LDG encoder's dead activations slice by slice.
 pub trait BranchScorer: Sync {
     /// Raw prediction value (positive-class log-odds) for one graph.
     fn raw_score(&self, graph: &GraphTensors) -> f64;
@@ -242,7 +244,15 @@ pub trait BranchScorer: Sync {
 }
 
 /// Class logits of one graph's forward pass, run on this thread's pooled
-/// scoring tape.
+/// scoring tape — the only scoring entry (serve, stream re-scoring, holdout
+/// scoring and multiclass all come through here).
+///
+/// The tape is forward-only ([`Tape::scoring`]): the LDG encoder hands each
+/// time slice's dead activations back to the pool at the slice's end, so
+/// the pool holds about one slice rather than all `T`. With metrics on, the
+/// pool's lifetime allocation and buffer high-water mark are recorded as
+/// the `score.pool.allocated_bytes` and `score.pool.high_water_buffers`
+/// gauges (the maximum over scoring threads).
 fn pooled_logits(store: &ParamStore, forward: impl FnOnce(&mut Tape, &mut Ctx) -> Var) -> Vec<f32> {
     // Each scoring worker thread keeps its own buffer pool, so parallel
     // inference reuses allocations without sharing state across threads.
@@ -250,11 +260,17 @@ fn pooled_logits(store: &ParamStore, forward: impl FnOnce(&mut Tape, &mut Ctx) -
         static SCORE_POOL: RefCell<BufferPool> = RefCell::new(BufferPool::new());
     }
     SCORE_POOL.with(|pool| {
-        let mut tape = Tape::with_pool(std::mem::take(&mut *pool.borrow_mut()));
+        let mut tape = Tape::scoring(std::mem::take(&mut *pool.borrow_mut()));
         let mut ctx = Ctx::new(store);
         let logits = forward(&mut tape, &mut ctx);
         let row = tape.value(logits).row(0).to_vec();
-        *pool.borrow_mut() = tape.into_pool();
+        let recycled = tape.into_pool();
+        if obs::metrics_enabled() {
+            let stats = recycled.stats();
+            obs::gauge_max("score.pool.allocated_bytes", stats.allocated_bytes as f64);
+            obs::gauge_max("score.pool.high_water_buffers", stats.high_water_buffers as f64);
+        }
+        *pool.borrow_mut() = recycled;
         row
     })
 }

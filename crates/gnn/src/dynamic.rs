@@ -158,6 +158,12 @@ impl LdgEncoder {
     /// alone. Row `g` of every output is bit-identical to the output of
     /// graph `g` packed alone. Graphs with fewer than `t_slices` slices reuse
     /// their last adjacency (the packer repeats it).
+    ///
+    /// Only `h_t` and the pooled slice stack carry from one slice into the
+    /// next (Eq. 22), so on a scoring tape ([`Tape::scoring`]) every other
+    /// activation of a slice goes back to the pool at the slice's end and
+    /// the next slice reuses those buffers. On a training tape the release
+    /// is a no-op and every activation stays for the backward pass.
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -181,6 +187,7 @@ impl LdgEncoder {
     ) -> LdgOutput {
         assert!(!batch.slice_csr.is_empty(), "LDG needs time slices");
         let b = batch.len();
+        let mark = tape.len();
         let mut h = self.input_proj.forward(tape, ctx, store, x);
 
         let mut pooled: Option<Var> = None;
@@ -193,10 +200,14 @@ impl LdgEncoder {
             h = self.gru.forward(tape, ctx, store, u_t, h);
             // Eqs. 19-21: per-slice hierarchical pooling, `(B, hidden)`.
             let p = self.pool_slice_batch(tape, ctx, store, adj_csr, h, &batch.offsets, b);
-            pooled = Some(match pooled {
+            let acc = match pooled {
                 None => p,
                 Some(acc) => tape.concat_rows(acc, p),
-            });
+            };
+            pooled = Some(acc);
+            // Everything since `mark` but the new state is dead, including
+            // the previous slice's `h` and stack.
+            tape.release_since(mark, &[h, acc]);
         }
         // Slice-major `(T·B, hidden)` → graph-major `(B·T, hidden)` so each
         // graph's stack is one contiguous segment.
@@ -239,34 +250,42 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
+    use tensor::BufferPool;
 
-    fn toy(label: usize, bursty: bool) -> GraphTensors {
-        // Bursty graphs concentrate all transactions in the first slice;
-        // uniform graphs spread them out.
+    /// A ring of `n` accounts with two transactions per account. Bursty
+    /// graphs concentrate all transactions in the first slice; uniform
+    /// graphs spread them out.
+    fn ring(n: usize, label: usize, bursty: bool) -> Subgraph {
         let ts = |i: usize| if bursty { i as u64 } else { i as u64 * 1000 };
-        let g = Subgraph::from_parts(
-            vec![0, 1, 2],
-            vec![AccountKind::Eoa; 3],
-            (0..6)
+        Subgraph::from_parts(
+            (0..n).collect(),
+            vec![AccountKind::Eoa; n],
+            (0..2 * n)
                 .map(|i| LocalTx {
-                    src: i % 3,
-                    dst: (i + 1) % 3,
+                    src: i % n,
+                    dst: (i + 1) % n,
                     value: 1.0 + i as f64,
-                    timestamp: ts(i) + if bursty && i == 5 { 10_000 } else { 0 },
+                    timestamp: ts(i) + if bursty && i == 2 * n - 1 { 10_000 } else { 0 },
                     fee: 0.001,
                     contract_call: false,
                 })
                 .collect(),
             Some(label),
-        );
-        GraphTensors::from_subgraph(&g, 5)
+        )
+    }
+
+    fn toy(label: usize, bursty: bool) -> GraphTensors {
+        GraphTensors::from_subgraph(&ring(3, label, bursty), 5)
     }
 
     fn encoder(pool_layers: usize) -> (ParamStore, LdgEncoder) {
+        encoder_with_slices(pool_layers, 5)
+    }
+
+    fn encoder_with_slices(pool_layers: usize, t_slices: usize) -> (ParamStore, LdgEncoder) {
         let mut rng = StdRng::seed_from_u64(13);
         let mut store = ParamStore::new();
-        let cfg =
-            LdgConfig { hidden: 16, t_slices: 5, d_out: 8, pool_layers, ..Default::default() };
+        let cfg = LdgConfig { hidden: 16, t_slices, d_out: 8, pool_layers, ..Default::default() };
         let enc = LdgEncoder::new(&mut store, &mut rng, cfg);
         (store, enc)
     }
@@ -286,6 +305,62 @@ mod tests {
             assert_eq!(tape.value(out.embedding).shape(), (1, 8));
             assert_eq!(tape.value(out.logits).shape(), (1, 2));
             assert!(tape.value(out.logits).all_finite());
+        }
+    }
+
+    /// Bits of the embedding and logits of one forward over `batch` on
+    /// `tape`, and the pool the tape leaves behind.
+    fn run_forward(
+        enc: &LdgEncoder,
+        store: &ParamStore,
+        batch: &LdgBatch,
+        mut tape: Tape,
+    ) -> (Vec<u32>, Vec<u32>, BufferPool) {
+        let mut ctx = Ctx::new(store);
+        let out = enc.forward_batch(&mut tape, &mut ctx, store, batch);
+        let embedding = tape.value(out.embedding).to_bits_vec();
+        let logits = tape.value(out.logits).to_bits_vec();
+        (embedding, logits, tape.into_pool())
+    }
+
+    /// A scoring tape releases each slice's dead activations without
+    /// moving an output bit, and its pool holds about one slice: ten slices
+    /// allocate less than twice what two do, where a tape that keeps every
+    /// activation grows with the slice count.
+    #[test]
+    fn scoring_tape_matches_training_tape_and_holds_one_slice() {
+        let g = ring(24, 1, false);
+        let full = GraphTensors::from_subgraph(&g, 5);
+        // Two slices packed for a five-slice encoder: slices 2..5 reuse the
+        // last packed adjacency.
+        let short = GraphTensors::from_subgraph(&g, 2);
+        for layers in 1..=3 {
+            let (store, enc) = encoder(layers);
+            let cases = [
+                ("full", LdgBatch::pack(&[&full], 5)),
+                ("fewer slices", LdgBatch::pack(&[&short], 2)),
+            ];
+            for (what, batch) in &cases {
+                let (emb, logits, _) =
+                    run_forward(&enc, &store, batch, Tape::with_pool(BufferPool::new()));
+                let (s_emb, s_logits, _) =
+                    run_forward(&enc, &store, batch, Tape::scoring(BufferPool::new()));
+                assert_eq!(s_logits, logits, "logits moved: {what}, {layers} pool layers");
+                assert_eq!(s_emb, emb, "embedding moved: {what}, {layers} pool layers");
+            }
+
+            let allocated = |t_slices: usize| {
+                let (store, enc) = encoder_with_slices(layers, t_slices);
+                let batch = LdgBatch::pack(&[&full], t_slices);
+                let (.., pool) =
+                    run_forward(&enc, &store, &batch, Tape::scoring(BufferPool::new()));
+                pool.stats().allocated_bytes
+            };
+            let (two, ten) = (allocated(2), allocated(10));
+            assert!(
+                ten < 2 * two,
+                "{layers} pool layers: 10 slices allocated {ten} B, 2 slices {two} B"
+            );
         }
     }
 

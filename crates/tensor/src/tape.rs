@@ -19,13 +19,20 @@
 //! ## Buffer pool
 //!
 //! Every op output and every backward temporary is drawn from a
-//! [`BufferPool`] — a free list of `Vec<f32>` buffers keyed by length.
-//! Shapes repeat heavily across batches and epochs, so a tape constructed
-//! with [`Tape::with_pool`] and recycled with [`Tape::into_pool`] serves
-//! nearly all allocations from the pool after the first pass. Pooling is
-//! invisible to the numerics: a reused buffer is either fully zeroed or
-//! fully overwritten before use, so values are bit-identical to a
-//! fresh-allocation run.
+//! [`BufferPool`] — a free list of `Vec<f32>` buffers bucketed by
+//! power-of-two size class. Shapes repeat heavily across batches and
+//! epochs, so a tape constructed with [`Tape::with_pool`] and recycled with
+//! [`Tape::into_pool`] serves nearly all allocations from the pool after
+//! the first pass. Pooling is invisible to the numerics: a reused buffer is
+//! either fully zeroed or fully overwritten before use, so values are
+//! bit-identical to a fresh-allocation run.
+//!
+//! A scoring tape ([`Tape::scoring`]) records the same ops but never runs
+//! backward, so a value is dead once its last consumer has run. A caller
+//! that knows where a stage ends (the LDG encoder, at each time slice)
+//! hands that stage's dead values back with [`Tape::release_since`], and
+//! the next stage draws the same, still cache-warm buffers: the pool then
+//! holds about one stage's activations instead of the whole forward.
 
 use crate::csr::Csr;
 use crate::exact;
@@ -37,10 +44,10 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(pub(crate) usize);
 
-/// Trivial hasher for the pool's `usize` length keys. The pool is consulted
-/// for every op output and backward temporary, at which rate the default
-/// SipHash is measurable in profiles; a Fibonacci multiply spreads the
-/// (highly regular) buffer lengths across the map's buckets just as well.
+/// Trivial hasher for the pool's `usize` size-class keys. The pool is
+/// consulted for every op output and backward temporary, at which rate the
+/// default SipHash is measurable in profiles; a Fibonacci multiply spreads
+/// the (highly regular) size classes across the map's buckets just as well.
 #[derive(Default)]
 struct LenHasher(u64);
 
@@ -306,6 +313,9 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: BufferPool,
+    /// Forward-only ([`Tape::scoring`]): `backward` refuses to run and
+    /// [`Tape::release_since`] recycles dead values.
+    scoring: bool,
 }
 
 impl Tape {
@@ -316,13 +326,43 @@ impl Tape {
     /// A tape that serves allocations from `pool`. Recycle with
     /// [`Tape::into_pool`] once gradients have been consumed.
     pub fn with_pool(pool: BufferPool) -> Self {
-        Self { nodes: Vec::new(), pool }
+        Self { nodes: Vec::new(), pool, scoring: false }
+    }
+
+    /// A forward-only tape that serves allocations from `pool`: the same
+    /// ops, bit for bit, as [`Tape::with_pool`], but [`Tape::backward`]
+    /// panics and [`Tape::release_since`] returns dead values to the pool
+    /// mid-forward.
+    pub fn scoring(pool: BufferPool) -> Self {
+        Self { nodes: Vec::new(), pool, scoring: true }
+    }
+
+    /// On a scoring tape, give the pool the value of every node recorded at
+    /// or after `mark` (a [`Tape::len`] taken earlier) except the `keep`
+    /// vars and the leaves (parameter copies and constants). The caller
+    /// asserts that no later op reads a released value. A released node
+    /// holds an empty `0×0` tensor, so a read that breaks that promise sees
+    /// no data, never recycled data, and fails the first shape or index
+    /// check downstream.
+    /// Releasing a node twice is harmless. On a training tape, which still
+    /// needs every value for [`Tape::backward`], this does nothing.
+    pub fn release_since(&mut self, mark: usize, keep: &[Var]) {
+        if !self.scoring {
+            return;
+        }
+        for (i, node) in self.nodes.iter_mut().enumerate().skip(mark) {
+            if matches!(node.op, Op::Leaf) || keep.contains(&Var(i)) {
+                continue;
+            }
+            let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
+            self.pool.give(value.into_vec());
+        }
     }
 
     /// Tear the tape down, returning every value and gradient buffer to the
     /// pool for the next pass.
     pub fn into_pool(self) -> BufferPool {
-        let Tape { nodes, mut pool } = self;
+        let Tape { nodes, mut pool, .. } = self;
         pool.stats.tape_ops += nodes.len() as u64;
         for node in nodes {
             pool.give(node.value.into_vec());
@@ -913,8 +953,10 @@ impl Tape {
     /// Single-shot per tape: to differentiate several heads, combine them
     /// into one scalar (e.g. with [`Tape::add`]) before calling this.
     /// Calling `backward` a second time on the same tape re-propagates the
-    /// existing gradients and produces meaningless sums.
+    /// existing gradients and produces meaningless sums. Panics on a
+    /// scoring tape ([`Tape::scoring`]), whose values may have been released.
     pub fn backward(&mut self, v: Var) {
+        assert!(!self.scoring, "backward on a forward-only scoring tape (Tape::scoring)");
         assert_eq!(self.nodes[v.0].value.shape(), (1, 1), "backward requires a scalar output");
         self.nodes[v.0].grad = Some(Tensor::scalar(1.0));
         for i in (0..=v.0).rev() {
@@ -1506,6 +1548,80 @@ mod tests {
             pool = tape.into_pool();
             assert!(pool.buffers() > 0, "pool should retain buffers");
         }
+    }
+
+    /// A small chain on either kind of tape: a parameter leaf, a constant,
+    /// and three interior nodes. Returns `(w, x, h, s)`; `s` is the chain's
+    /// output and the natural var to keep.
+    fn release_chain(tape: &mut Tape) -> (Var, Var, Var, Var) {
+        let w = tape.leaf_copy(&Tensor::from_fn(3, 2, |r, c| 0.1 * (r * 2 + c) as f32 - 0.2));
+        let x =
+            tape.constant_copy(&Tensor::from_fn(4, 3, |r, c| (r as f32 - 1.0) * 0.7 + c as f32));
+        let h = tape.matmul(x, w);
+        let h = tape.tanh(h);
+        let s = tape.softmax_rows(h);
+        (w, x, h, s)
+    }
+
+    #[test]
+    fn release_since_recycles_dead_values_and_keeps_the_rest() {
+        let mut plain = Tape::with_pool(BufferPool::new());
+        let (w0, x0, _, s0) = release_chain(&mut plain);
+        let mut tape = Tape::scoring(BufferPool::new());
+        let (w, x, h, s) = release_chain(&mut tape);
+        let parked = tape.pool.buffers();
+        tape.release_since(0, &[s]);
+        // The matmul and tanh outputs went back; the kept output and both
+        // leaves are untouched.
+        assert_eq!(tape.pool.buffers(), parked + 2, "two dead values recycled");
+        assert_eq!(tape.value(h).shape(), (0, 0), "a released node holds nothing");
+        assert_eq!(tape.value(s).to_bits_vec(), plain.value(s0).to_bits_vec());
+        assert_eq!(tape.value(w).to_bits_vec(), plain.value(w0).to_bits_vec());
+        assert_eq!(tape.value(x).to_bits_vec(), plain.value(x0).to_bits_vec());
+        // A second release finds nothing left to give.
+        tape.release_since(0, &[s]);
+        assert_eq!(tape.pool.buffers(), parked + 2);
+        // Values recorded before the mark are out of range.
+        let mark = tape.len();
+        let t = tape.tanh(s);
+        tape.release_since(mark, &[]);
+        assert_eq!(tape.value(t).shape(), (0, 0));
+        assert_eq!(tape.value(s).to_bits_vec(), plain.value(s0).to_bits_vec());
+    }
+
+    #[test]
+    fn release_since_is_a_no_op_on_a_training_tape() {
+        let mut tape = Tape::with_pool(BufferPool::new());
+        let (w, _, h, s) = release_chain(&mut tape);
+        let before = tape.value(h).to_bits_vec();
+        let parked = tape.pool.buffers();
+        tape.release_since(0, &[s]);
+        assert_eq!(tape.pool.buffers(), parked);
+        assert_eq!(tape.value(h).to_bits_vec(), before);
+        // Backward still runs over every value.
+        let loss = tape.sum_all(s);
+        tape.backward(loss);
+        assert!(tape.grad(w).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn an_op_consuming_a_released_value_panics() {
+        let mut tape = Tape::scoring(BufferPool::new());
+        let (w, _, h, s) = release_chain(&mut tape);
+        tape.release_since(0, &[s]);
+        // `h` is (4, 2) live; released it is (0, 0) and cannot meet `wᵀ`.
+        let wt = tape.transpose(w);
+        tape.matmul(h, wt);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward-only scoring tape")]
+    fn backward_on_a_scoring_tape_panics() {
+        let mut tape = Tape::scoring(BufferPool::new());
+        let (_, _, _, s) = release_chain(&mut tape);
+        let loss = tape.sum_all(s);
+        tape.backward(loss);
     }
 
     #[test]

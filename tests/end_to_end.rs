@@ -149,6 +149,12 @@ fn observability_is_invisible_to_predictions_and_reports_round_trip() {
     let losses = gsg.get("epoch_loss").and_then(obs::Json::as_arr).expect("epoch_loss");
     assert_eq!(losses.len(), cfg.epochs, "one loss per training epoch");
     assert!(parsed.get("spans").and_then(|s| s.get("pipeline.run")).is_some());
+    // The scoring tapes' pool footprint is attributable in the report.
+    let gauges = parsed.get("gauges").expect("gauges section");
+    for name in ["score.pool.allocated_bytes", "score.pool.high_water_buffers"] {
+        let v = gauges.get(name).and_then(obs::Json::as_f64);
+        assert!(v.is_some_and(|v| v > 0.0), "gauge {name} missing or zero: {v:?}");
+    }
 
     // Schema v2: spans carry exclusive self-time, the report carries a
     // ranked self-time table, and per-account inference latency quantiles.
