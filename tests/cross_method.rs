@@ -2,8 +2,9 @@
 //! benchmark — the code path behind Table III at smoke-test scale.
 
 use baselines::{
-    predict_model, run_baseline, train_model, AppnpBaseline, Baseline, BaselineConfig, GcnBaseline,
-    GraphModel, GritBaseline, I2BgnnBaseline, LoweredDataset, TegDetectorBaseline, TsgnBaseline,
+    predict_model, run_baseline, train_model, AppnpBaseline, Baseline, BaselineConfig,
+    Bert4EthBaseline, GatBaseline, GcnBaseline, GinBaseline, GraphModel, GritBaseline,
+    I2BgnnBaseline, LoweredDataset, SageBaseline, TegDetectorBaseline, TsgnBaseline,
 };
 use bench::f64_bits_digest;
 use dbg4eth::{run, Dbg4EthConfig};
@@ -113,10 +114,10 @@ fn prediction_digest<M: GraphModel>(
 
 #[test]
 fn adjacency_baselines_output_bits_are_pinned() {
-    // Every baseline that propagates over a normalised adjacency, trained
-    // and scored on the tiny dataset. The digests pin how adjacencies are
-    // stored and multiplied: changing the representation must not move a
-    // single bit of any prediction.
+    // Every baseline that propagates over an adjacency or an edge list, or
+    // pools node rows, trained and scored on the tiny dataset. The digests
+    // pin how adjacencies are stored and multiplied and how rows are
+    // pooled: changing either must not move a single bit of any prediction.
     let bench = tiny();
     let d = bench.dataset(AccountClass::Exchange);
     let cfg = tiny_baseline_config();
@@ -132,6 +133,10 @@ fn adjacency_baselines_output_bits_are_pinned() {
         ),
         ("GRIT", prediction_digest(&lowered, &cfg, |s, r| GritBaseline::new(s, r, d_in, h))),
         ("TSGN", prediction_digest(&lowered, &cfg, |s, r| TsgnBaseline::new(s, r, h))),
+        ("GAT", prediction_digest(&lowered, &cfg, |s, r| GatBaseline::new(s, r, d_in, h, 2))),
+        ("GIN", prediction_digest(&lowered, &cfg, |s, r| GinBaseline::new(s, r, d_in, h))),
+        ("GraphSAGE", prediction_digest(&lowered, &cfg, |s, r| SageBaseline::new(s, r, d_in, h))),
+        ("BERT4ETH", prediction_digest(&lowered, &cfg, |s, r| Bert4EthBaseline::new(s, r, h))),
     ];
     let want = [
         ("GCN", 0x82af_1251_1b15_42f6),
@@ -140,6 +145,10 @@ fn adjacency_baselines_output_bits_are_pinned() {
         ("TEGDetector", 0x62f8_3061_63b4_36de),
         ("GRIT", 0x6a31_132d_a2a2_24b3),
         ("TSGN", 0x3356_bf17_bb39_ad18),
+        ("GAT", 0x626b_a41a_c304_afb2),
+        ("GIN", 0x6ed3_8f89_e103_4461),
+        ("GraphSAGE", 0xcd1e_0239_7750_ffb7),
+        ("BERT4ETH", 0x6e72_55f1_5666_09ef),
     ];
     for ((name, g), (_, w)) in got.iter().zip(&want) {
         println!("{name}: got {g:#018x}, want {w:#018x}");
