@@ -1,12 +1,13 @@
 //! GNN graph-classification baselines: GCN, GAT, GIN, GraphSAGE, APPNP and
 //! I²BGNN (Table III rows 3-11, 13-14).
 
-use crate::harness::GraphModel;
+use crate::harness::{all_rows, GraphModel};
 use gnn::layers::{appnp_propagate, GatLayer, GcnLayer, GinLayer, SageLayer};
 use gnn::GraphTensors;
 use nn::{Activation, Ctx, Linear, Mlp, ParamStore};
 use rand::Rng;
-use tensor::{Tape, Tensor, Var};
+use std::sync::Arc;
+use tensor::{Csr, Tape, Var};
 
 /// Mean-pool node embeddings and classify (the pooling the paper uses for
 /// the GCN/GAT/GIN baselines).
@@ -17,34 +18,41 @@ fn mean_pool_head(
     head: &Linear,
     h: Var,
 ) -> Var {
-    let pooled = tape.mean_pool_rows(h);
+    let pooled = tape.segment_mean_pool_rows(h, all_rows(tape, h));
     head.forward(tape, ctx, store, pooled)
 }
 
-/// Binary (0/1) adjacency without self-loops, from the real merged edges.
-fn binary_adjacency(g: &GraphTensors) -> Tensor {
-    let mut a = Tensor::zeros(g.n, g.n);
-    for (u, v) in g.real_edges() {
-        if u != v {
-            a.set(u, v, 1.0);
-            a.set(v, u, 1.0);
-        }
-    }
-    a
+/// The undirected neighbour pairs of the real merged edges, sorted and
+/// without self-loops. A reciprocal pair of transactions gives both
+/// `(u, v)` and `(v, u)` as merged edges, so each pair is kept once.
+fn neighbour_pairs(g: &GraphTensors) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = g
+        .real_edges()
+        .into_iter()
+        .filter(|&(u, v)| u != v)
+        .flat_map(|(u, v)| [(u, v), (v, u)])
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
-/// Row-normalised neighbour-mean operator without self-loops (GraphSAGE).
-fn mean_adjacency(g: &GraphTensors) -> Tensor {
-    let mut a = binary_adjacency(g);
-    for r in 0..g.n {
-        let s: f32 = a.row(r).iter().sum();
-        if s > 0.0 {
-            for x in a.row_mut(r) {
-                *x /= s;
-            }
-        }
+/// Binary (0/1) neighbour-sum operator without self-loops (GIN).
+fn sum_operator(g: &GraphTensors) -> Arc<Csr> {
+    let entries: Vec<_> = neighbour_pairs(g).into_iter().map(|(u, v)| (u, v, 1.0)).collect();
+    Arc::new(Csr::from_triplets(g.n, g.n, &entries))
+}
+
+/// Row-normalised neighbour-mean operator without self-loops (GraphSAGE):
+/// each neighbour of `u` weighs `1 / deg(u)`.
+fn mean_operator(g: &GraphTensors) -> Arc<Csr> {
+    let pairs = neighbour_pairs(g);
+    let mut deg = vec![0u32; g.n];
+    for &(u, _) in &pairs {
+        deg[u] += 1;
     }
-    a
+    let entries: Vec<_> = pairs.into_iter().map(|(u, v)| (u, v, 1.0 / deg[u] as f32)).collect();
+    Arc::new(Csr::from_triplets(g.n, g.n, &entries))
 }
 
 /// Two-layer GCN with mean pooling.
@@ -128,10 +136,10 @@ impl GinBaseline {
 
 impl GraphModel for GinBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        let adj = tape.constant(binary_adjacency(g));
+        let adj = sum_operator(g);
         let x = tape.constant(g.x.clone());
-        let h = self.l1.forward(tape, ctx, store, adj, x);
-        let h = self.l2.forward(tape, ctx, store, adj, h);
+        let h = self.l1.forward(tape, ctx, store, &adj, x);
+        let h = self.l2.forward(tape, ctx, store, &adj, h);
         mean_pool_head(tape, ctx, store, &self.head, h)
     }
 }
@@ -155,10 +163,10 @@ impl SageBaseline {
 
 impl GraphModel for SageBaseline {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var {
-        let adj = tape.constant(mean_adjacency(g));
+        let adj = mean_operator(g);
         let x = tape.constant(g.x.clone());
-        let h = self.l1.forward(tape, ctx, store, adj, x);
-        let h = self.l2.forward(tape, ctx, store, adj, h);
+        let h = self.l1.forward(tape, ctx, store, &adj, x);
+        let h = self.l2.forward(tape, ctx, store, &adj, h);
         mean_pool_head(tape, ctx, store, &self.head, h)
     }
 }
@@ -214,7 +222,7 @@ impl GraphModel for I2BgnnBaseline {
         let x = tape.constant(g.x.clone());
         let h = self.l1.forward(tape, ctx, store, &g.gsg_adj, x);
         let h = self.l2.forward(tape, ctx, store, &g.gsg_adj, h);
-        let pooled = tape.max_pool_rows(h);
+        let pooled = tape.segment_max_pool_rows(h, all_rows(tape, h));
         self.head.forward(tape, ctx, store, pooled)
     }
 }
@@ -226,6 +234,54 @@ mod tests {
     use eth_graph::{AccountKind, LocalTx, Subgraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensor::Tensor;
+
+    fn tx(src: usize, dst: usize) -> LocalTx {
+        LocalTx { src, dst, value: 1.0, timestamp: 0, fee: 0.0, contract_call: false }
+    }
+
+    /// The dense operators the sparse builders replaced: both directions of
+    /// every non-self merged edge set to 1, then each non-empty row divided
+    /// by its sum for the mean.
+    fn dense_reference(g: &GraphTensors, mean: bool) -> Tensor {
+        let mut a = Tensor::zeros(g.n, g.n);
+        for (u, v) in g.real_edges() {
+            if u != v {
+                a.set(u, v, 1.0);
+                a.set(v, u, 1.0);
+            }
+        }
+        for r in 0..g.n {
+            let s: f32 = a.row(r).iter().sum();
+            if mean && s > 0.0 {
+                for x in a.row_mut(r) {
+                    *x /= s;
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn sparse_operators_match_the_dense_construction_bitwise() {
+        // 0 <-> 1 is a reciprocal pair, 2 -> 2 a self-transaction and 3 an
+        // isolated node, so its rows stay empty.
+        let sub = Subgraph::from_parts(
+            (0..4).collect(),
+            vec![AccountKind::Eoa; 4],
+            vec![tx(0, 1), tx(1, 0), tx(2, 2), tx(1, 2)],
+            Some(0),
+        );
+        let g = GraphTensors::from_subgraph(&sub, 3);
+        let edges = g.real_edges();
+        assert!(edges.contains(&(0, 1)) && edges.contains(&(1, 0)), "{edges:?}");
+        assert!(edges.contains(&(2, 2)), "{edges:?}");
+        for (sparse, mean) in [(sum_operator(&g), false), (mean_operator(&g), true)] {
+            let dense = dense_reference(&g, mean);
+            assert_eq!(*sparse, Csr::from_dense(&dense), "mean = {mean}");
+            assert_eq!(sparse.to_dense().to_bits_vec(), dense.to_bits_vec(), "mean = {mean}");
+        }
+    }
 
     /// Dense high-value star vs sparse chain: separable by any GNN.
     fn toy_pair() -> (GraphTensors, GraphTensors) {

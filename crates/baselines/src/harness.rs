@@ -9,6 +9,12 @@ use rand::{seq::SliceRandom, SeedableRng};
 use std::sync::Arc;
 use tensor::{Tape, Var};
 
+/// The one segment spanning every row of `h`: a single graph pools through
+/// the same segment ops as the batched encoders.
+pub(crate) fn all_rows(tape: &Tape, h: Var) -> Arc<Vec<usize>> {
+    Arc::new(vec![0, tape.value(h).rows()])
+}
+
 /// A model that maps one lowered subgraph to class logits `(1, 2)`.
 pub trait GraphModel {
     fn forward(&self, tape: &mut Tape, ctx: &mut Ctx, store: &ParamStore, g: &GraphTensors) -> Var;

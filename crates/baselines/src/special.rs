@@ -1,7 +1,7 @@
 //! Ethereum-specific de-anonymization baselines: TSGN, Ethident and
 //! TEGDetector (Table III rows 15-17).
 
-use crate::harness::GraphModel;
+use crate::harness::{all_rows, GraphModel};
 use gnn::layers::GcnLayer;
 use gnn::{GraphTensors, GsgBatch, GsgConfig, GsgEncoder, GsgItem};
 use nn::{Activation, Ctx, GruCell, Linear, ParamId, ParamStore};
@@ -71,7 +71,7 @@ impl GraphModel for TsgnBaseline {
         let x = tape.constant(feat_t);
         let h = self.l1.forward(tape, ctx, store, &adj, x);
         let h = self.l2.forward(tape, ctx, store, &adj, h);
-        let pooled = tape.mean_pool_rows(h);
+        let pooled = tape.segment_mean_pool_rows(h, all_rows(tape, h));
         self.head.forward(tape, ctx, store, pooled)
     }
 }
@@ -138,7 +138,7 @@ impl GraphModel for TegDetectorBaseline {
         for t in 0..self.t_slices {
             let adj = g.slice_adj.get(t).unwrap_or_else(|| g.slice_adj.last().unwrap());
             let u = self.gcn.forward(tape, ctx, store, adj, node_h);
-            let pooled = tape.mean_pool_rows(u);
+            let pooled = tape.segment_mean_pool_rows(u, all_rows(tape, u));
             let new_state = match state {
                 None => pooled,
                 Some(prev) => self.gru.forward(tape, ctx, store, pooled, prev),

@@ -3,7 +3,7 @@
 //! transactions). Both are reduced-scale reimplementations that keep the
 //! architectural shape of the originals.
 
-use crate::harness::GraphModel;
+use crate::harness::{all_rows, GraphModel};
 use gnn::GraphTensors;
 use nn::{Activation, Ctx, Linear, Mlp, ParamId, ParamStore};
 use rand::Rng;
@@ -109,7 +109,7 @@ impl GraphModel for GritBaseline {
         for block in &self.blocks {
             h = block.forward(tape, ctx, store, h, Some(bias));
         }
-        let pooled = tape.mean_pool_rows(h);
+        let pooled = tape.segment_mean_pool_rows(h, all_rows(tape, h));
         self.head.forward(tape, ctx, store, pooled)
     }
 }
@@ -160,7 +160,7 @@ impl GraphModel for Bert4EthBaseline {
         for block in &self.blocks {
             h = block.forward(tape, ctx, store, h, None);
         }
-        let pooled = tape.mean_pool_rows(h);
+        let pooled = tape.segment_mean_pool_rows(h, all_rows(tape, h));
         self.head.forward(tape, ctx, store, pooled)
     }
 }

@@ -1,8 +1,8 @@
 //! Message-passing layers: GCN, GAT, GIN, GraphSAGE and APPNP propagation.
 //!
-//! All layers are built on the autodiff tape. The normalised adjacencies
-//! GCN and APPNP propagate over stay off it as shared constant [`Csr`]
-//! matrices; the GIN and GraphSAGE operators enter as dense constant leaves.
+//! All layers are built on the autodiff tape. The operators GCN, APPNP,
+//! GIN and GraphSAGE propagate over stay off it as shared constant [`Csr`]
+//! matrices multiplied with [`Tape::spmm`].
 
 use nn::{Activation, Ctx, Linear, Mlp, ParamId, ParamStore};
 use rand::Rng;
@@ -189,10 +189,10 @@ impl GinLayer {
         tape: &mut Tape,
         ctx: &mut Ctx,
         store: &ParamStore,
-        adj_unnorm: Var,
+        adj_unnorm: &Arc<Csr>,
         h: Var,
     ) -> Var {
-        let agg = tape.matmul(adj_unnorm, h);
+        let agg = tape.spmm(adj_unnorm, h);
         let summed = tape.add(agg, h);
         self.mlp.forward(tape, ctx, store, summed)
     }
@@ -221,10 +221,10 @@ impl SageLayer {
         tape: &mut Tape,
         ctx: &mut Ctx,
         store: &ParamStore,
-        adj_rownorm: Var,
+        adj_rownorm: &Arc<Csr>,
         h: Var,
     ) -> Var {
-        let mean = tape.matmul(adj_rownorm, h);
+        let mean = tape.spmm(adj_rownorm, h);
         let cat = tape.concat_cols(h, mean);
         self.linear.forward(tape, ctx, store, cat)
     }
@@ -319,8 +319,8 @@ mod tests {
         let h = tape.leaf(Tensor::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1));
         let out = layer.forward(&mut tape, &mut ctx, &store, h, None, &src, &dst, 3);
         assert_eq!(tape.value(out).shape(), (3, 10)); // 2 heads x 5
-        let pooled = tape.mean_all(out);
-        tape.backward(pooled);
+        let loss = tape.sum_all(out);
+        tape.backward(loss);
         ctx.accumulate_grads(&tape, &mut store);
         assert!(store.grad_norm() > 0.0, "no gradient reached GAT params");
     }
@@ -339,28 +339,50 @@ mod tests {
         assert!(tape.value(out).all_finite());
     }
 
+    /// The path 0 - 1 - 2 as its neighbour operator with `weight(deg)` per
+    /// entry, and integer node features `h[r][c] = 4r² + c + 1`.
+    fn path_graph(weight: impl Fn(f32) -> f32) -> (Arc<Csr>, Tensor) {
+        let deg = [1.0, 2.0, 1.0];
+        let pairs = [(0, 1), (1, 0), (1, 2), (2, 1)];
+        let entries: Vec<_> = pairs.iter().map(|&(u, v)| (u, v, weight(deg[u]))).collect();
+        let h = Tensor::from_fn(3, 2, |r, c| (4 * r * r + c + 1) as f32);
+        (Arc::new(Csr::from_triplets(3, 3, &entries)), h)
+    }
+
     #[test]
     fn gin_layer_uses_sum_aggregation() {
         let (mut store, mut rng) = setup();
-        let layer = GinLayer::new(&mut store, &mut rng, "gin", 3, 6);
+        let layer = GinLayer::new(&mut store, &mut rng, "gin", 2, 6);
+        let (adj, h0) = path_graph(|_| 1.0);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let adj = tape.leaf(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
-        let h = tape.leaf(Tensor::from_fn(2, 3, |r, _| r as f32 + 1.0));
-        let out = layer.forward(&mut tape, &mut ctx, &store, adj, h);
-        assert_eq!(tape.value(out).shape(), (2, 6));
+        let h = tape.leaf(h0);
+        let out = layer.forward(&mut tape, &mut ctx, &store, &adj, h);
+        assert_eq!(tape.value(out).shape(), (3, 6));
+        // h_i + Σ_j h_j: rows [1, 2], [5, 6], [17, 18] sum to these exactly.
+        let summed = tape.leaf(Tensor::from_vec(3, 2, vec![6.0, 8.0, 23.0, 26.0, 22.0, 24.0]));
+        let want = layer.mlp.forward(&mut tape, &mut ctx, &store, summed);
+        assert_eq!(tape.value(out).to_bits_vec(), tape.value(want).to_bits_vec());
     }
 
     #[test]
     fn sage_layer_concatenates_self_and_mean() {
         let (mut store, mut rng) = setup();
-        let layer = SageLayer::new(&mut store, &mut rng, "sage", 3, 4, Activation::Relu);
+        let layer = SageLayer::new(&mut store, &mut rng, "sage", 2, 4, Activation::Relu);
+        let (adj, h0) = path_graph(|deg| 1.0 / deg);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
-        let adj = tape.leaf(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
-        let h = tape.leaf(Tensor::ones(2, 3));
-        let out = layer.forward(&mut tape, &mut ctx, &store, adj, h);
-        assert_eq!(tape.value(out).shape(), (2, 4));
+        let h = tape.leaf(h0);
+        let out = layer.forward(&mut tape, &mut ctx, &store, &adj, h);
+        assert_eq!(tape.value(out).shape(), (3, 4));
+        // [h_i || mean_j h_j]: node 1 averages rows [1, 2] and [17, 18].
+        let cat = tape.leaf(Tensor::from_vec(
+            3,
+            4,
+            vec![1.0, 2.0, 5.0, 6.0, 5.0, 6.0, 9.0, 10.0, 17.0, 18.0, 5.0, 6.0],
+        ));
+        let want = layer.linear.forward(&mut tape, &mut ctx, &store, cat);
+        assert_eq!(tape.value(out).to_bits_vec(), tape.value(want).to_bits_vec());
     }
 
     #[test]

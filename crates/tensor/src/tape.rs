@@ -255,7 +255,6 @@ enum Op {
     /// read and the sparse path skips it entirely.
     Spmm(Arc<Csr>, usize),
     Add(usize, usize),
-    Sub(usize, usize),
     Mul(usize, usize),
     AddRowBroadcast(usize, usize),
     MulColBroadcast(usize, usize),
@@ -273,13 +272,12 @@ enum Op {
     GatherRows(usize, Arc<Vec<usize>>),
     ScatterAddRows(usize, Arc<Vec<usize>>),
     SegmentSoftmax(usize, Arc<Vec<usize>>),
-    MaxPoolRows(usize),
-    MeanPoolRows(usize),
     /// Per-segment column-wise max: `(Σn, d)` with row offsets -> `(B, d)`.
-    /// Segment `s` of the output is bit-identical to [`Op::MaxPoolRows`]
-    /// over rows `offsets[s]..offsets[s + 1]` alone.
+    /// Segment `s` of the output depends only on rows
+    /// `offsets[s]..offsets[s + 1]`, so it is bit-identical to that segment
+    /// pooled alone.
     SegmentMaxPoolRows(usize, Arc<Vec<usize>>),
-    /// Per-segment column-wise mean, the batched [`Op::MeanPoolRows`].
+    /// Per-segment column-wise mean, likewise segment-local.
     SegmentMeanPoolRows(usize, Arc<Vec<usize>>),
     /// Per-segment `mᵀ @ x` for row-aligned `m: (Σn, c)`, `x: (Σn, d)`,
     /// stacking the `(c, d)` products -> `(B·c, d)`. The batched DiffPool
@@ -291,7 +289,6 @@ enum Op {
     /// Bit-identical per block to [`Op::Matmul`] under Strict.
     SegBlockMatmul(usize, usize),
     SumAll(usize),
-    MeanAll(usize),
     L2NormalizeRows(usize, f32),
     CrossEntropy(usize, Arc<Vec<usize>>),
 }
@@ -405,17 +402,13 @@ impl Tape {
             | Op::GatherRows(a, _)
             | Op::ScatterAddRows(a, _)
             | Op::SegmentSoftmax(a, _)
-            | Op::MaxPoolRows(a)
-            | Op::MeanPoolRows(a)
             | Op::SegmentMaxPoolRows(a, _)
             | Op::SegmentMeanPoolRows(a, _)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
             | Op::L2NormalizeRows(a, _)
             | Op::CrossEntropy(a, _) => self.nodes[*a].requires,
             Op::Matmul(a, b)
             | Op::Add(a, b)
-            | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::AddRowBroadcast(a, b)
             | Op::MulColBroadcast(a, b)
@@ -512,15 +505,6 @@ impl Tape {
                 x + y
             });
         self.push(v, Op::Add(a.0, b.0))
-    }
-
-    /// Elementwise `a - b` (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v =
-            pooled_zip(&mut self.pool, &self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| {
-                x - y
-            });
-        self.push(v, Op::Sub(a.0, b.0))
     }
 
     /// Elementwise (Hadamard) product `a ⊙ b` (same shape).
@@ -726,41 +710,12 @@ impl Tape {
         self.push(v, Op::SegmentSoftmax(a.0, seg))
     }
 
-    /// Column-wise max over rows: `(n, d) -> (1, d)` (global max pooling,
-    /// Eq. 10). Ties break toward the lowest row index in both directions.
-    pub fn max_pool_rows(&mut self, a: Var) -> Var {
-        let (n, d) = self.nodes[a.0].value.shape();
-        assert!(n > 0, "max_pool_rows on empty tensor");
-        let mut v = pooled_full(&mut self.pool, 1, d, f32::NEG_INFINITY);
-        let x = &self.nodes[a.0].value;
-        for r in 0..n {
-            for c in 0..d {
-                if x.get(r, c) > v.get(0, c) {
-                    v.set(0, c, x.get(r, c));
-                }
-            }
-        }
-        self.push(v, Op::MaxPoolRows(a.0))
-    }
-
-    /// Column-wise mean over rows: `(n, d) -> (1, d)`.
-    pub fn mean_pool_rows(&mut self, a: Var) -> Var {
-        let (n, d) = self.nodes[a.0].value.shape();
-        assert!(n > 0, "mean_pool_rows on empty tensor");
-        let mut v = pooled_zeros(&mut self.pool, 1, d);
-        let x = &self.nodes[a.0].value;
-        for r in 0..n {
-            for c in 0..d {
-                v.set(0, c, v.get(0, c) + x.get(r, c) / n as f32);
-            }
-        }
-        self.push(v, Op::MeanPoolRows(a.0))
-    }
-
-    /// Per-segment column-wise max: rows `offsets[s]..offsets[s + 1]` of
-    /// `a: (Σn, d)` pool to output row `s`, giving `(B, d)`. Output row `s`
-    /// is bit-identical to [`Tape::max_pool_rows`] over that row range alone
-    /// — the batched readout of the per-graph pooling.
+    /// Per-segment column-wise max (global max pooling, Eq. 10): rows
+    /// `offsets[s]..offsets[s + 1]` of `a: (Σn, d)` pool to output row `s`,
+    /// giving `(B, d)`. Ties break toward the lowest row index in both
+    /// directions. Output row `s` reads only its own rows, so it is
+    /// bit-identical to that row range pooled as a single segment — one
+    /// graph is the offsets `[0, n]`.
     pub fn segment_max_pool_rows(&mut self, a: Var, offsets: Arc<Vec<usize>>) -> Var {
         let (n, d) = self.nodes[a.0].value.shape();
         check_offsets(&offsets, n);
@@ -779,9 +734,9 @@ impl Tape {
         self.push(v, Op::SegmentMaxPoolRows(a.0, offsets))
     }
 
-    /// Per-segment column-wise mean: the batched [`Tape::mean_pool_rows`],
-    /// bit-identical per segment (each row contributes `x / n_s` with rows
-    /// ascending, exactly the per-graph accumulation).
+    /// Per-segment column-wise mean: each row of segment `s` contributes
+    /// `x / n_s` with rows ascending, so output row `s` is bit-identical to
+    /// that row range pooled as a single segment.
     pub fn segment_mean_pool_rows(&mut self, a: Var, offsets: Arc<Vec<usize>>) -> Var {
         let (n, d) = self.nodes[a.0].value.shape();
         check_offsets(&offsets, n);
@@ -871,12 +826,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = pooled_full(&mut self.pool, 1, 1, self.nodes[a.0].value.sum());
         self.push(v, Op::SumAll(a.0))
-    }
-
-    /// Mean of all elements -> scalar.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = pooled_full(&mut self.pool, 1, 1, self.nodes[a.0].value.mean());
-        self.push(v, Op::MeanAll(a.0))
     }
 
     /// L2-normalise each row (used by the contrastive objective).
@@ -1004,13 +953,6 @@ impl Tape {
                 Op::Add(a, b) => {
                     if self.nodes[b].requires {
                         let gb = pooled_copy(&mut self.pool, &g);
-                        self.acc_grad(b, gb);
-                    }
-                    self.acc_grad(a, g);
-                }
-                Op::Sub(a, b) => {
-                    if self.nodes[b].requires {
-                        let gb = pooled_map(&mut self.pool, &g, |x| -x);
                         self.acc_grad(b, gb);
                     }
                     self.acc_grad(a, g);
@@ -1213,37 +1155,6 @@ impl Tape {
                     }
                     self.acc_grad(a, g);
                 }
-                Op::MaxPoolRows(a) => {
-                    if self.nodes[a].requires {
-                        let (n, d) = self.nodes[a].value.shape();
-                        let mut ga = pooled_zeros(&mut self.pool, n, d);
-                        let x = &self.nodes[a].value;
-                        for c in 0..d {
-                            let mut best = 0usize;
-                            for r in 1..n {
-                                if x.get(r, c) > x.get(best, c) {
-                                    best = r;
-                                }
-                            }
-                            ga.set(best, c, g.get(0, c));
-                        }
-                        self.acc_grad(a, ga);
-                    }
-                    self.pool.give(g.into_vec());
-                }
-                Op::MeanPoolRows(a) => {
-                    if self.nodes[a].requires {
-                        let (n, d) = self.nodes[a].value.shape();
-                        let mut ga = pooled_uninit(&mut self.pool, n, d);
-                        for r in 0..n {
-                            for c in 0..d {
-                                ga.set(r, c, g.get(0, c) / n as f32);
-                            }
-                        }
-                        self.acc_grad(a, ga);
-                    }
-                    self.pool.give(g.into_vec());
-                }
                 Op::SegmentMaxPoolRows(a, offsets) => {
                     if self.nodes[a].requires {
                         let (n, d) = self.nodes[a].value.shape();
@@ -1252,8 +1163,8 @@ impl Tape {
                         for s in 0..offsets.len() - 1 {
                             let (lo, hi) = (offsets[s], offsets[s + 1]);
                             for c in 0..d {
-                                // Argmax rescan with the per-graph tie-break:
-                                // lowest row wins, exactly MaxPoolRows'.
+                                // Argmax rescan with the forward's tie-break:
+                                // the lowest row wins.
                                 let mut best = lo;
                                 for r in lo + 1..hi {
                                     if x.get(r, c) > x.get(best, c) {
@@ -1395,15 +1306,6 @@ impl Tape {
                     }
                     self.pool.give(g.into_vec());
                 }
-                Op::MeanAll(a) => {
-                    if self.nodes[a].requires {
-                        let (n, d) = self.nodes[a].value.shape();
-                        let scale = g.item() / (n * d) as f32;
-                        let ga = pooled_full(&mut self.pool, n, d, scale);
-                        self.acc_grad(a, ga);
-                    }
-                    self.pool.give(g.into_vec());
-                }
                 Op::L2NormalizeRows(a, eps) => {
                     if self.nodes[a].requires {
                         let (n, _d) = g.shape();
@@ -1533,7 +1435,7 @@ mod tests {
             let h = tape.matmul(x, w);
             let h = tape.tanh(h);
             let s = tape.softmax_rows(h);
-            let p = tape.mean_pool_rows(s);
+            let p = tape.segment_mean_pool_rows(s, Arc::new(vec![0, 4]));
             let loss = tape.sum_all(p);
             tape.backward(loss);
             (tape.value(s).to_bits_vec(), tape.grad(w).unwrap().to_bits_vec())
@@ -1740,35 +1642,52 @@ mod tests {
     }
 
     /// Each segment-aware op must produce, per segment, exactly the bits of
-    /// the per-graph op chain it fuses — that is the whole contract that
-    /// lets the batched encoder replace the per-account tapes under Strict.
+    /// that segment computed alone — that is the whole contract that lets
+    /// the batched encoder replace the per-account tapes. The pools are
+    /// checked against a plain column max and an ascending `x / len` sum,
+    /// and their gradients against the segment packed on its own.
     #[test]
     fn segment_pools_match_per_segment_pools_bitwise() {
         let offsets: Vec<usize> = vec![0, 3, 4, 9];
         let x0 = seg_fixture(9, 4, 7);
+        let pool = |t: &mut Tape, mode: &str, x: Var, offsets: Vec<usize>| {
+            if mode == "max" {
+                t.segment_max_pool_rows(x, Arc::new(offsets))
+            } else {
+                t.segment_mean_pool_rows(x, Arc::new(offsets))
+            }
+        };
         for mode in ["max", "mean"] {
             let mut tb = Tape::new();
             let xb = tb.leaf(x0.clone());
-            let pooled = if mode == "max" {
-                tb.segment_max_pool_rows(xb, Arc::new(offsets.clone()))
-            } else {
-                tb.segment_mean_pool_rows(xb, Arc::new(offsets.clone()))
-            };
+            let pooled = pool(&mut tb, mode, xb, offsets.clone());
             let lb = tb.sum_all(pooled);
             tb.backward(lb);
             for s in 0..offsets.len() - 1 {
                 let (lo, hi) = (offsets[s], offsets[s + 1]);
+                let want: Vec<u32> = (0..4)
+                    .map(|c| {
+                        let column = (lo..hi).map(|r| x0.get(r, c));
+                        let len = (hi - lo) as f32;
+                        if mode == "max" {
+                            column.fold(f32::NEG_INFINITY, |m, x| if x > m { x } else { m })
+                        } else {
+                            column.fold(0.0, |acc, x| acc + x / len)
+                        }
+                        .to_bits()
+                    })
+                    .collect();
+                assert_eq!(
+                    tb.value(pooled).row(s).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want,
+                    "{mode} forward segment {s}"
+                );
                 let mut tg = Tape::new();
                 let seg = Tensor::from_fn(hi - lo, 4, |r, c| x0.get(lo + r, c));
                 let xg = tg.leaf(seg);
-                let pg = if mode == "max" { tg.max_pool_rows(xg) } else { tg.mean_pool_rows(xg) };
+                let pg = pool(&mut tg, mode, xg, vec![0, hi - lo]);
                 let lg = tg.sum_all(pg);
                 tg.backward(lg);
-                assert_eq!(
-                    tb.value(pooled).row(s).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    tg.value(pg).row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{mode} forward segment {s}"
-                );
                 let got: Vec<u32> = (lo..hi)
                     .flat_map(|r| tb.grad(xb).unwrap().row(r).iter().map(|v| v.to_bits()))
                     .collect();
@@ -1847,7 +1766,7 @@ mod tests {
     fn max_pool_gradient_goes_to_argmax() {
         let mut t = Tape::new();
         let x = t.leaf(Tensor::from_vec(3, 2, vec![1.0, 9.0, 5.0, 2.0, 3.0, 4.0]));
-        let p = t.max_pool_rows(x);
+        let p = t.segment_max_pool_rows(x, Arc::new(vec![0, 3]));
         assert_eq!(t.value(p).data(), &[5.0, 9.0]);
         let loss = t.sum_all(p);
         t.backward(loss);

@@ -394,15 +394,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements (0.0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element (`-inf` for an empty tensor).
     pub fn max(&self) -> f32 {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
@@ -692,7 +683,6 @@ mod tests {
     fn reductions() {
         let a = Tensor::from_vec(2, 2, vec![1.0, -2.0, 3.0, 4.0]);
         assert_eq!(a.sum(), 6.0);
-        assert_eq!(a.mean(), 1.5);
         assert_eq!(a.max(), 4.0);
         assert!((a.norm() - (30.0f32).sqrt()).abs() < 1e-6);
     }

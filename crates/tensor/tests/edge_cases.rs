@@ -34,7 +34,7 @@ fn long_chain_of_ops_stays_finite() {
     for _ in 0..50 {
         x = t.tanh(x);
     }
-    let loss = t.mean_all(x);
+    let loss = t.sum_all(x);
     t.backward(loss);
     assert!(t.grad_or_zeros(x).all_finite());
 }
@@ -82,8 +82,8 @@ fn single_element_everything() {
     let y = t.leaf(Tensor::scalar(3.0));
     let m = t.matmul(x, y);
     assert_eq!(t.value(m).item(), 6.0);
-    let p = t.max_pool_rows(m);
-    let q = t.mean_pool_rows(p);
+    let p = t.segment_max_pool_rows(m, Arc::new(vec![0, 1]));
+    let q = t.segment_mean_pool_rows(p, Arc::new(vec![0, 1]));
     let s = t.softmax_rows(q);
     assert_eq!(t.value(s).item(), 1.0);
     let loss = t.sum_all(m);

@@ -66,12 +66,11 @@ fn grad_matmul() {
 }
 
 #[test]
-fn grad_add_sub_mul() {
+fn grad_add_mul() {
     gradcheck(&[pseudo(2, 3, 3), pseudo(2, 3, 4)], |t, v| {
         let a = t.add(v[0], v[1]);
-        let s = t.sub(a, v[1]);
-        let m = t.mul(s, v[1]);
-        t.mean_all(m)
+        let m = t.mul(a, v[1]);
+        t.sum_all(m)
     });
 }
 
@@ -155,7 +154,7 @@ fn grad_transpose_concat() {
     gradcheck(&[pseudo(2, 3, 15), pseudo(1, 3, 16)], |t, v| {
         let c = t.concat_rows(v[0], v[1]); // (3,3)
         let s = t.sigmoid(c);
-        t.mean_all(s)
+        t.sum_all(s)
     });
 }
 
@@ -187,13 +186,15 @@ fn grad_segment_softmax() {
 
 #[test]
 fn grad_pooling() {
-    gradcheck(&[pseudo(5, 3, 21)], |t, v| {
-        let p = t.max_pool_rows(v[0]);
+    // Uneven segments, one of them a single row.
+    let offsets = Arc::new(vec![0usize, 3, 4, 7]);
+    gradcheck(&[pseudo(7, 3, 21)], |t, v| {
+        let p = t.segment_max_pool_rows(v[0], offsets.clone());
         let s = t.tanh(p);
         t.sum_all(s)
     });
-    gradcheck(&[pseudo(5, 3, 22)], |t, v| {
-        let p = t.mean_pool_rows(v[0]);
+    gradcheck(&[pseudo(7, 3, 22)], |t, v| {
+        let p = t.segment_mean_pool_rows(v[0], offsets.clone());
         let s = t.sigmoid(p);
         t.sum_all(s)
     });
@@ -262,7 +263,7 @@ fn grad_gru_like_step() {
             let a = t.mul(keep, v[1]);
             let b = t.mul(u, cand);
             let h = t.add(a, b);
-            t.mean_all(h)
+            t.sum_all(h)
         },
     );
 }
