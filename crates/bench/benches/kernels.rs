@@ -3,7 +3,11 @@
 //! Figs. 4-5), GSG / LDG training steps (Tables III-VI, Figs. 8-9),
 //! augmentation (Fig. 9a), calibration (Fig. 6), classifiers (Fig. 7),
 //! walk embeddings (Table III rows 1-2, 12), the per-account LDG scoring
-//! forward and the Strict activation kernels of the GSG / LDG forward.
+//! forward, the Strict activation kernels of the GSG / LDG forward and the
+//! two Strict GEMM kernels every tape matmul runs on.
+//!
+//! `cargo bench -p bench --bench kernels -- <substring>` runs only the
+//! benchmarks whose name contains `<substring>` (e.g. `gemm/`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +24,7 @@ use nn::{Ctx, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tensor::{BufferPool, Tape};
+use tensor::{BufferPool, Tape, Tensor};
 
 fn small_world() -> (World, TxGraph) {
     let world = World::generate(
@@ -249,6 +253,69 @@ fn bench_activations(c: &mut Criterion) {
     });
 }
 
+/// A `rows × cols` operand of nonzero values with exact zeros (±0.0) at
+/// `zero_pct` percent of its entries, as a ReLU output carries them.
+fn gemm_operand(rows: usize, cols: usize, zero_pct: u32, salt: u32) -> Tensor {
+    let mut state = salt.wrapping_mul(0x9e37_79b9) | 1;
+    Tensor::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        let h = state >> 8;
+        if h % 100 < zero_pct {
+            if h & 1 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        } else {
+            ((h >> 8) % 1000 + 1) as f32 * 1e-3 - 0.5005
+        }
+    })
+}
+
+/// The Strict GEMM kernels at the shapes the models run: contraction 64
+/// (the GSG/LDG hidden width), output widths 4/8/12 (DiffPool's assignment
+/// columns, padded tails), 16/32 (`Dbg4EthConfig::fast()`) and 64, over
+/// 30 (a small account), 94 (the mean account) and 1311 (a packed
+/// mini-batch) rows, on a dense left operand and on one with 60 % exact
+/// zeros. `nn` is `(rows, 64) @ (64, n)` (`Tensor::matmul_into`, the tape
+/// forward and `g @ bᵀ`); `tn` is `(rows, 64)ᵀ @ (rows, n)`
+/// (`Tensor::matmul_tn_into`, the weight gradient `aᵀ @ g`).
+fn bench_gemm(c: &mut Criterion) {
+    const K: usize = 64;
+    for n in [4, 8, 12, 16, 32, 64] {
+        for rows in [30, 94, 1311] {
+            for zero_pct in [0, 60] {
+                // A branch predictor memorises the zero pattern of a small
+                // operand timed over and over, which a training run never
+                // repeats: small shapes rotate through eight operands.
+                let variants = if rows * K < 16_384 { 8 } else { 1 };
+                let a: Vec<Tensor> = (0..variants)
+                    .map(|v| gemm_operand(rows, K, zero_pct, (rows * n + v) as u32))
+                    .collect();
+                let mut turn = 0;
+                let b = gemm_operand(K, n, 0, 7);
+                let mut out = Tensor::zeros(rows, n);
+                c.bench_function(&format!("gemm/nn/n{n}/rows{rows}/zeros{zero_pct}"), |bch| {
+                    bch.iter(|| {
+                        turn = (turn + 1) % variants;
+                        black_box(&a[turn]).matmul_into(black_box(&b), &mut out);
+                        black_box(out.data()[0])
+                    })
+                });
+                let b = gemm_operand(rows, n, 0, 11);
+                let mut out = Tensor::zeros(K, n);
+                c.bench_function(&format!("gemm/tn/n{n}/rows{rows}/zeros{zero_pct}"), |bch| {
+                    bch.iter(|| {
+                        turn = (turn + 1) % variants;
+                        black_box(&a[turn]).matmul_tn_into(black_box(&b), &mut out);
+                        black_box(out.data()[0])
+                    })
+                });
+            }
+        }
+    }
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
@@ -256,4 +323,9 @@ criterion_group! {
         bench_ldg_score, bench_augment, bench_calibration, bench_gbdt, bench_embedding,
         bench_generation, bench_activations
 }
-criterion_main!(kernels);
+criterion_group! {
+    name = gemm;
+    config = Criterion::default().sample_size(200);
+    targets = bench_gemm
+}
+criterion_main!(kernels, gemm);

@@ -1762,6 +1762,110 @@ mod tests {
         }
     }
 
+    /// `Σ_q x(q) · y(q)` over `q` ascending with exact zeros of `x`
+    /// skipped: the Strict accumulation of one output element, written as
+    /// the plainest possible loop.
+    fn strict_dot(len: usize, x: impl Fn(usize) -> f32, y: impl Fn(usize) -> f32) -> f32 {
+        let mut acc = 0.0f32;
+        for q in 0..len {
+            if x(q) != 0.0 {
+                acc += x(q) * y(q);
+            }
+        }
+        acc
+    }
+
+    /// Run `op` on leaves `(l, r)` under the loss `Σ out ⊙ mask`, where
+    /// `mask` is a ReLU-masked constant: the upstream gradient reaching the
+    /// op is `mask` itself, exact zeros included. Returns the forward
+    /// value, the upstream gradient and both leaf gradients.
+    fn masked_run(
+        l: &Tensor,
+        r: &Tensor,
+        op: impl Fn(&mut Tape, Var, Var) -> Var,
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
+        let mut t = Tape::new();
+        let (lv, rv) = (t.leaf(l.clone()), t.leaf(r.clone()));
+        let out = op(&mut t, lv, rv);
+        let (rows, cols) = t.value(out).shape();
+        let mask = seg_fixture(rows, cols, 99).map(|v| v.max(0.0));
+        let mv = t.constant(mask.clone());
+        let masked = t.mul(out, mv);
+        let loss = t.sum_all(masked);
+        t.backward(loss);
+        let value = t.value(out).clone();
+        (value, mask, t.grad(lv).unwrap().clone(), t.grad(rv).unwrap().clone())
+    }
+
+    /// The DiffPool segment ops' forward and both gradients against plain
+    /// scalar loops, independent of the GEMM kernels that compute them, with
+    /// a zero-bearing upstream gradient, a one-row segment and a segment
+    /// longer than the 256-row chunk of `Tensor::matmul_tn_into`.
+    #[test]
+    fn seg_ops_match_scalar_loops_bitwise() {
+        let bits = |t: &Tensor| t.to_bits_vec();
+        for (c, d) in [(3, 5), (12, 33)] {
+            let offsets = vec![0, 1, 5, 275, 282];
+            let n = *offsets.last().unwrap();
+            let m0 = seg_fixture(n, c, 31);
+            let x0 = seg_fixture(n, d, 32);
+            let (out, g, gm, gx) =
+                masked_run(&m0, &x0, |t, m, x| t.seg_matmul_tn(m, x, Arc::new(offsets.clone())));
+            let (mut want_out, mut want_gm, mut want_gx) =
+                (Tensor::zeros(4 * c, d), Tensor::zeros(n, c), Tensor::zeros(n, d));
+            for s in 0..offsets.len() - 1 {
+                let (lo, len) = (offsets[s], offsets[s + 1] - offsets[s]);
+                for i in 0..c {
+                    for j in 0..d {
+                        let v = strict_dot(len, |q| m0.get(lo + q, i), |q| x0.get(lo + q, j));
+                        want_out.set(s * c + i, j, v);
+                    }
+                }
+                for p in lo..lo + len {
+                    for i in 0..c {
+                        want_gm.set(p, i, strict_dot(d, |j| g.get(s * c + i, j), |j| x0.get(p, j)));
+                    }
+                    for j in 0..d {
+                        want_gx.set(p, j, strict_dot(c, |i| m0.get(p, i), |i| g.get(s * c + i, j)));
+                    }
+                }
+            }
+            assert!(g.data().contains(&0.0), "the upstream gradient must carry zeros");
+            assert_eq!(bits(&out), bits(&want_out), "seg_matmul_tn forward, c={c}");
+            assert_eq!(bits(&gm), bits(&want_gm), "seg_matmul_tn dm, c={c}");
+            assert_eq!(bits(&gx), bits(&want_gx), "seg_matmul_tn dx, c={c}");
+        }
+        // One-row blocks and blocks longer than 256 rows.
+        for (blocks, c, d) in [(3, 1, 4), (2, 260, 6), (3, 12, 20)] {
+            let a0 = seg_fixture(blocks * c, c, 41);
+            let h0 = seg_fixture(blocks * c, d, 42);
+            let (out, g, ga, gh) = masked_run(&a0, &h0, |t, a, h| t.seg_block_matmul(a, h));
+            let (mut want_out, mut want_ga, mut want_gh) = (
+                Tensor::zeros(blocks * c, d),
+                Tensor::zeros(blocks * c, c),
+                Tensor::zeros(blocks * c, d),
+            );
+            for s in 0..blocks {
+                let o = s * c;
+                for i in 0..c {
+                    for j in 0..d {
+                        let v = strict_dot(c, |p| a0.get(o + i, p), |p| h0.get(o + p, j));
+                        want_out.set(o + i, j, v);
+                        let v = strict_dot(c, |q| a0.get(o + q, i), |q| g.get(o + q, j));
+                        want_gh.set(o + i, j, v);
+                    }
+                    for p in 0..c {
+                        let v = strict_dot(d, |j| g.get(o + i, j), |j| h0.get(o + p, j));
+                        want_ga.set(o + i, p, v);
+                    }
+                }
+            }
+            assert_eq!(bits(&out), bits(&want_out), "seg_block_matmul forward, c={c}");
+            assert_eq!(bits(&ga), bits(&want_ga), "seg_block_matmul da, c={c}");
+            assert_eq!(bits(&gh), bits(&want_gh), "seg_block_matmul dh, c={c}");
+        }
+    }
+
     #[test]
     fn max_pool_gradient_goes_to_argmax() {
         let mut t = Tape::new();

@@ -652,30 +652,122 @@ mod tests {
         }
     }
 
+    /// The zero densities the kernel tests sweep, in percent: dense, and
+    /// the 30–95 % exact-zero share of ReLU activations and their
+    /// gradients.
+    const ZERO_PCTS: [u32; 4] = [0, 30, 60, 95];
+
+    /// A left operand with exact zeros (±0.0, sign by hash) at about
+    /// `pct` percent of its entries. A third of the rows and a third of
+    /// the columns are left dense, so 4-row groups (`matmul_into`) and
+    /// 4-column groups (`matmul_tn_into`) mix dense and sparse members.
+    fn zeroed_tensor(rows: usize, cols: usize, pct: u32, salt: u32) -> Tensor {
+        let hash = |x: u32| x.wrapping_mul(2654435761).wrapping_add(salt).rotate_left(13);
+        Tensor::from_fn(rows, cols, |r, c| {
+            let h = hash(r as u32 ^ hash(c as u32 ^ 0x5bd1));
+            let dense = hash(r as u32).is_multiple_of(3) || hash(!(c as u32)).is_multiple_of(3);
+            if !dense && (h >> 7) % 100 < pct {
+                if h & 1 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else {
+                ((h % 997) as f32 + 1.0) * if h & 2 == 0 { 1.3e-3 } else { -1.1e-3 }
+            }
+        })
+    }
+
+    /// Zero every entry of `a` along contraction index `p` for every `p` of
+    /// `poisoned`, and fill `b`'s row `p` with ±inf and NaN. Under the
+    /// skip-zeros contract those rows never reach an output; a kernel that
+    /// multiplies `0 · inf` or `0 · NaN` instead of skipping writes a NaN.
+    /// `a` is the plain left operand (`transposed == false`: contraction
+    /// over its columns) or the `matmul_tn_into` left operand (contraction
+    /// over its rows).
+    fn poison(a: &mut Tensor, b: &mut Tensor, transposed: bool, poisoned: &[usize]) {
+        for &p in poisoned {
+            if transposed {
+                a.row_mut(p).fill(-0.0);
+            } else {
+                for i in 0..a.rows() {
+                    a.set(i, p, 0.0);
+                }
+            }
+            for (j, v) in b.row_mut(p).iter_mut().enumerate() {
+                *v = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][j % 3];
+            }
+        }
+    }
+
+    /// Both Strict kernels against the scalar reference at one shape and
+    /// zero density. Every fourth salt runs `matmul_tn_into` over more
+    /// rows than its 256-row chunk, every eighth runs `matmul_into` over a
+    /// contraction longer than 256; odd salts poison the contraction
+    /// indices `p ≡ salt (mod 5)`.
+    fn check_strict_kernels(m: usize, k: usize, n: usize, pct: u32, salt: u32) {
+        let poisoned = |len: usize| -> Vec<usize> {
+            if salt % 2 == 1 {
+                (0..len).filter(|p| p % 5 == salt as usize % 5).collect()
+            } else {
+                Vec::new()
+            }
+        };
+        let k_nn = if salt % 8 == 4 { k + 270 } else { k };
+        let mut a = zeroed_tensor(m, k_nn, pct, salt);
+        let mut b = zeroed_tensor(k_nn, n, 0, salt ^ 0x9e37);
+        poison(&mut a, &mut b, false, &poisoned(k_nn));
+        let mut got = Tensor::full(m, n, f32::NAN);
+        a.matmul_into(&b, &mut got);
+        let want = matmul_reference(&a, &b);
+        assert!(want.all_finite());
+        assert_eq!(
+            got.to_bits_vec(),
+            want.to_bits_vec(),
+            "NN ({m},{k_nn})@({k_nn},{n}) at {pct}% zeros"
+        );
+
+        let rows = if salt.is_multiple_of(4) { 300 + m } else { m };
+        let mut a = zeroed_tensor(rows, k, pct, salt ^ 7);
+        let mut b = zeroed_tensor(rows, n, 0, salt ^ 11);
+        poison(&mut a, &mut b, true, &poisoned(rows));
+        let mut got = Tensor::full(k, n, f32::NAN);
+        a.matmul_tn_into(&b, &mut got);
+        let want = matmul_reference(&a.transpose(), &b);
+        assert!(want.all_finite());
+        assert_eq!(
+            got.to_bits_vec(),
+            want.to_bits_vec(),
+            "TN ({rows},{k})^T@({rows},{n}) at {pct}% zeros"
+        );
+    }
+
+    /// Every output width 1..=140 — one to eight whole 16-wide tiles, the
+    /// 32- and 64-wide boundaries and every padded tail — at every zero
+    /// density, with row counts straddling the 4-row group.
+    #[test]
+    fn strict_kernels_match_reference_at_widths_1_to_140() {
+        for n in 1..=140 {
+            for (d, &pct) in ZERO_PCTS.iter().enumerate() {
+                let salt = (n * 4 + d) as u32;
+                check_strict_kernels(9, 1 + (n * 7 + d) % 37, n, pct, salt);
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Every output width 1..=40 (whole 16-wide tiles, narrow tails and
-        /// both), row counts around the 4-row block, and `p` runs longer
-        /// than `matmul_tn_into`'s 256-row chunk: both Strict kernels stay
+        /// Random shapes — widths 1..=140, row counts around the 4-row
+        /// group, contraction lengths past a 64-wide row — at every zero
+        /// density, with `p` runs longer than `matmul_tn_into`'s 256-row
+        /// chunk and ±inf / NaN opposite zeros: both Strict kernels stay
         /// bit-identical to the scalar reference loop.
         #[test]
         fn strict_kernels_match_reference_at_every_width(
-            (m, k, n, salt) in (1usize..=13, 1usize..=70, 1usize..=40, 0u32..1000)
+            (m, k, n, salt, d) in (1usize..=13, 1usize..=70, 1usize..=140, 0u32..1000, 0usize..4)
         ) {
-            let a = mixed_tensor(m, k, salt);
-            let b = mixed_tensor(k, n, salt.wrapping_mul(31));
-            let mut got = Tensor::zeros(m, n);
-            a.matmul_into(&b, &mut got);
-            proptest::prop_assert_eq!(got.to_bits_vec(), matmul_reference(&a, &b).to_bits_vec());
-
-            let rows = if salt % 4 == 0 { 300 + m } else { m };
-            let a = mixed_tensor(rows, k, salt ^ 7);
-            let b = mixed_tensor(rows, n, salt ^ 11);
-            let mut got = Tensor::zeros(k, n);
-            a.matmul_tn_into(&b, &mut got);
-            let want = matmul_reference(&a.transpose(), &b);
-            proptest::prop_assert_eq!(got.to_bits_vec(), want.to_bits_vec());
+            check_strict_kernels(m, k, n, ZERO_PCTS[d], salt);
         }
     }
 
