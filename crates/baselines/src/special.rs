@@ -41,16 +41,23 @@ impl TsgnBaseline {
             feats.set(i, 1, g.edge_feat.get(i, 1));
         }
         // Transactions sharing an endpoint are adjacent; each transaction
-        // is adjacent to itself (the self-loop).
+        // is adjacent to itself (the self-loop). Each endpoint indexes its
+        // incident transactions in ascending order, so a transaction's
+        // neighbours are the sorted, deduplicated union of its two
+        // endpoints' lists.
+        let nodes = edges.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
+        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+        for (j, &(a, b)) in edges.iter().enumerate() {
+            incident[a].push(j);
+            incident[b].push(j);
+        }
         let neighbours: Vec<Vec<usize>> = edges
             .iter()
             .map(|&(a, b)| {
-                (0..e)
-                    .filter(|&j| {
-                        let (c, d) = edges[j];
-                        a == c || a == d || b == c || b == d
-                    })
-                    .collect()
+                let mut nb = [&incident[a][..], &incident[b][..]].concat();
+                nb.sort_unstable();
+                nb.dedup();
+                nb
             })
             .collect();
         // Symmetric normalisation.

@@ -36,7 +36,7 @@
 
 use crate::csr::Csr;
 use crate::exact;
-use crate::tensor::Tensor;
+use crate::tensor::{gemm_nn, gemm_tn, transpose_into, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -235,12 +235,7 @@ fn pooled_zip(
 fn pooled_transpose(pool: &mut BufferPool, src: &Tensor) -> Tensor {
     let (r, c) = src.shape();
     let mut t = pooled_uninit(pool, c, r);
-    let out = t.data_mut();
-    for i in 0..r {
-        for (j, &v) in src.row(i).iter().enumerate() {
-            out[j * r + i] = v;
-        }
-    }
+    transpose_into(r, c, src.data(), t.data_mut());
     t
 }
 
@@ -756,32 +751,22 @@ impl Tape {
 
     /// Per-segment `m_sᵀ @ x_s` for row-aligned `m: (Σn, c)`, `x: (Σn, d)`,
     /// the `(c, d)` products stacked into `(B·c, d)`. This is the batched
-    /// DiffPool assignment product: segment `s` of the output is
-    /// bit-identical to `matmul(transpose(m_s), x_s)` on a per-graph tape
-    /// (same zero skips, same ascending accumulation), forward and backward.
-    /// Always strict — the blocks are tiny and the order is the contract.
+    /// DiffPool assignment product: each segment is one call of the Strict
+    /// `aᵀ @ b` kernel behind [`Tensor::matmul_tn_into`], so segment `s` of
+    /// the output is bit-identical to `matmul(transpose(m_s), x_s)` on a
+    /// per-graph tape, forward and backward.
     pub fn seg_matmul_tn(&mut self, m: Var, x: Var, offsets: Arc<Vec<usize>>) -> Var {
         let (n, c) = self.nodes[m.0].value.shape();
         let (nx, d) = self.nodes[x.0].value.shape();
         assert_eq!(n, nx, "seg_matmul_tn row mismatch: m has {n}, x has {nx}");
         check_offsets(&offsets, n);
         let b = offsets.len() - 1;
-        let mut v = pooled_zeros(&mut self.pool, b * c, d);
-        let mv = &self.nodes[m.0].value;
-        let xv = &self.nodes[x.0].value;
+        let mut v = pooled_uninit(&mut self.pool, b * c, d);
+        let (mv, xv) = (self.nodes[m.0].value.data(), self.nodes[x.0].value.data());
         for s in 0..b {
-            for p in offsets[s]..offsets[s + 1] {
-                let m_row = mv.row(p);
-                let x_row = xv.row(p);
-                for (i, &a) in m_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &xval) in v.row_mut(s * c + i).iter_mut().zip(x_row.iter()) {
-                        *o += a * xval;
-                    }
-                }
-            }
+            let (lo, hi) = (offsets[s], offsets[s + 1]);
+            let out = &mut v.data_mut()[s * c * d..(s + 1) * c * d];
+            gemm_tn(hi - lo, c, d, &mv[lo * c..hi * c], &xv[lo * d..hi * d], out);
         }
         self.push(v, Op::SegMatmulTn(m.0, x.0, offsets))
     }
@@ -789,8 +774,9 @@ impl Tape {
     /// Block-wise `a_s @ h_s` for uniform square blocks: `a: (B·c, c)`
     /// stacking `(c, c)` blocks and `h: (B·c, d)` stacking their right
     /// operands gives `(B·c, d)`. The batched coarsened-adjacency product of
-    /// DiffPool's later stages; bit-identical per block to [`Tape::matmul`]
-    /// under Strict, forward and backward. Always strict.
+    /// DiffPool's later stages: each block is one call of the Strict kernel
+    /// behind [`Tensor::matmul_into`], so it is bit-identical per block to
+    /// [`Tape::matmul`], forward and backward.
     pub fn seg_block_matmul(&mut self, a: Var, h: Var) -> Var {
         let (rows, c) = self.nodes[a.0].value.shape();
         let (hrows, d) = self.nodes[h.0].value.shape();
@@ -799,25 +785,11 @@ impl Tape {
             c > 0 && rows % c == 0,
             "seg_block_matmul needs (B·{c}, {c}) blocks, got {rows} rows"
         );
-        let b = rows / c;
         let mut v = pooled_uninit(&mut self.pool, rows, d);
-        let av = &self.nodes[a.0].value;
-        let hv = &self.nodes[h.0].value;
-        for s in 0..b {
-            for i in 0..c {
-                let out_row = v.row_mut(s * c + i);
-                out_row.fill(0.0);
-                let a_row = av.row(s * c + i);
-                for (p, &x) in a_row.iter().enumerate() {
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let h_row = hv.row(s * c + p);
-                    for (o, &hval) in out_row.iter_mut().zip(h_row.iter()) {
-                        *o += x * hval;
-                    }
-                }
-            }
+        let (av, hv) = (self.nodes[a.0].value.data(), self.nodes[h.0].value.data());
+        for s in 0..rows / c {
+            let (a_s, h_s) = (&av[s * c * c..(s + 1) * c * c], &hv[s * c * d..(s + 1) * c * d]);
+            gemm_nn(c, c, d, a_s, h_s, &mut v.data_mut()[s * c * d..(s + 1) * c * d]);
         }
         self.push(v, Op::SegBlockMatmul(a.0, h.0))
     }
@@ -969,11 +941,11 @@ impl Tape {
                 }
                 Op::AddRowBroadcast(a, b) => {
                     if self.nodes[b].requires {
-                        let (n, d) = g.shape();
-                        let mut gb = pooled_zeros(&mut self.pool, 1, d);
-                        for r in 0..n {
-                            for c in 0..d {
-                                gb.set(0, c, gb.get(0, c) + g.get(r, c));
+                        // Column sums, rows ascending per column.
+                        let mut gb = pooled_zeros(&mut self.pool, 1, g.cols());
+                        for r in 0..g.rows() {
+                            for (o, &x) in gb.data_mut().iter_mut().zip(g.row(r)) {
+                                *o += x;
                             }
                         }
                         self.acc_grad(b, gb);
@@ -981,16 +953,17 @@ impl Tape {
                     self.acc_grad(a, g);
                 }
                 Op::MulColBroadcast(a, b) => {
-                    let (n, d) = g.shape();
+                    let n = g.rows();
                     if self.nodes[b].requires {
+                        // Row dot products, columns ascending.
                         let mut gb = pooled_uninit(&mut self.pool, n, 1);
                         let av = &self.nodes[a].value;
-                        for r in 0..n {
-                            let mut dot = 0.0;
-                            for c in 0..d {
-                                dot += g.get(r, c) * av.get(r, c);
-                            }
-                            gb.set(r, 0, dot);
+                        for (r, o) in gb.data_mut().iter_mut().enumerate() {
+                            *o = g
+                                .row(r)
+                                .iter()
+                                .zip(av.row(r))
+                                .fold(0.0, |dot, (&x, &y)| dot + x * y);
                         }
                         self.acc_grad(b, gb);
                     }
@@ -1195,104 +1168,75 @@ impl Tape {
                     self.pool.give(g.into_vec());
                 }
                 Op::SegMatmulTn(m, x, offsets) => {
-                    let c = self.nodes[m].value.cols();
-                    let d = self.nodes[x].value.cols();
+                    let (c, d) = (self.nodes[m].value.cols(), self.nodes[x].value.cols());
+                    let n = *offsets.last().unwrap();
                     if self.nodes[m].requires {
-                        // dm[p][i] = Σ_j g_s[i][j] · x[p][j], j ascending with
-                        // g zeros skipped — the per-graph `g @ x_sᵀ` followed
-                        // by the transpose backward's pure copy.
-                        let n = self.nodes[m].value.rows();
+                        // dm_s = (g_s @ x_sᵀ)ᵀ: the per-graph tape's Matmul
+                        // backward `g @ bᵀ` (zeros of g skipped), then the
+                        // transpose backward's pure copy.
+                        let longest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+                        let mut xt = self.pool.take_any(d * longest);
+                        let mut prod = self.pool.take_any(c * longest);
                         let mut gm = pooled_uninit(&mut self.pool, n, c);
-                        let xv = &self.nodes[x].value;
+                        let xv = self.nodes[x].value.data();
                         for s in 0..offsets.len() - 1 {
-                            for p in offsets[s]..offsets[s + 1] {
-                                let x_row = xv.row(p);
-                                for i in 0..c {
-                                    let g_row = g.row(s * c + i);
-                                    let mut acc = 0.0f32;
-                                    for (j, &gv) in g_row.iter().enumerate() {
-                                        if gv == 0.0 {
-                                            continue;
-                                        }
-                                        acc += gv * x_row[j];
-                                    }
-                                    gm.set(p, i, acc);
-                                }
-                            }
+                            let (lo, len) = (offsets[s], offsets[s + 1] - offsets[s]);
+                            let g_s = &g.data()[s * c * d..(s + 1) * c * d];
+                            let (xt, prod) = (&mut xt[..d * len], &mut prod[..c * len]);
+                            transpose_into(len, d, &xv[lo * d..(lo + len) * d], xt);
+                            gemm_nn(c, d, len, g_s, xt, prod);
+                            transpose_into(
+                                c,
+                                len,
+                                prod,
+                                &mut gm.data_mut()[lo * c..(lo + len) * c],
+                            );
                         }
+                        self.pool.give(xt);
+                        self.pool.give(prod);
                         self.acc_grad(m, gm);
                     }
                     if self.nodes[x].requires {
-                        // dx_s = m_s @ g_s: for each x row p the block rows
-                        // arrive ascending with m zeros skipped — exactly
-                        // `matmul_tn_into(mt_s, g_s)` on the per-graph tape.
-                        let n = self.nodes[x].value.rows();
-                        let mut gx = pooled_zeros(&mut self.pool, n, d);
-                        let mv = &self.nodes[m].value;
+                        // dx_s = m_s @ g_s — the per-graph transpose node's
+                        // `mtᵀ @ g`, whose zero skips are those of m.
+                        let mut gx = pooled_uninit(&mut self.pool, n, d);
+                        let mv = self.nodes[m].value.data();
                         for s in 0..offsets.len() - 1 {
-                            for p in offsets[s]..offsets[s + 1] {
-                                let m_row = mv.row(p);
-                                for (i, &a) in m_row.iter().enumerate() {
-                                    if a == 0.0 {
-                                        continue;
-                                    }
-                                    let g_row_start = (s * c + i) * d;
-                                    for (jj, o) in gx.row_mut(p).iter_mut().enumerate() {
-                                        *o += a * g.data()[g_row_start + jj];
-                                    }
-                                }
-                            }
+                            let (lo, hi) = (offsets[s], offsets[s + 1]);
+                            let g_s = &g.data()[s * c * d..(s + 1) * c * d];
+                            let out = &mut gx.data_mut()[lo * d..hi * d];
+                            gemm_nn(hi - lo, c, d, &mv[lo * c..hi * c], g_s, out);
                         }
                         self.acc_grad(x, gx);
                     }
                     self.pool.give(g.into_vec());
                 }
                 Op::SegBlockMatmul(a, h) => {
-                    let c = self.nodes[a].value.cols();
+                    let (rows, c) = self.nodes[a].value.shape();
                     let d = self.nodes[h].value.cols();
-                    let rows = self.nodes[a].value.rows();
-                    let blocks = rows / c;
                     if self.nodes[a].requires {
-                        // da_s = g_s @ h_sᵀ, zero-skipping g with j ascending
-                        // — the per-graph Matmul backward's left product.
+                        // da_s = g_s @ h_sᵀ — the per-graph Matmul backward's
+                        // left product over the transposed right operand.
+                        let mut ht = self.pool.take_any(d * c);
                         let mut ga = pooled_uninit(&mut self.pool, rows, c);
-                        let hv = &self.nodes[h].value;
-                        for s in 0..blocks {
-                            for i in 0..c {
-                                let g_row = g.row(s * c + i);
-                                for p in 0..c {
-                                    let h_row = hv.row(s * c + p);
-                                    let mut acc = 0.0f32;
-                                    for (j, &gv) in g_row.iter().enumerate() {
-                                        if gv == 0.0 {
-                                            continue;
-                                        }
-                                        acc += gv * h_row[j];
-                                    }
-                                    ga.set(s * c + i, p, acc);
-                                }
-                            }
+                        let hv = self.nodes[h].value.data();
+                        for s in 0..rows / c {
+                            let blk = s * c * d..(s + 1) * c * d;
+                            transpose_into(c, d, &hv[blk.clone()], &mut ht);
+                            let out = &mut ga.data_mut()[s * c * c..(s + 1) * c * c];
+                            gemm_nn(c, d, c, &g.data()[blk], &ht, out);
                         }
+                        self.pool.give(ht);
                         self.acc_grad(a, ga);
                     }
                     if self.nodes[h].requires {
-                        // dh_s = a_sᵀ @ g_s via the matmul_tn order: block
-                        // rows p ascending, a zeros skipped.
-                        let mut gh = pooled_zeros(&mut self.pool, rows, d);
-                        let av = &self.nodes[a].value;
-                        for s in 0..blocks {
-                            for p in 0..c {
-                                let a_row = av.row(s * c + p);
-                                let g_row_start = (s * c + p) * d;
-                                for (i, &x) in a_row.iter().enumerate() {
-                                    if x == 0.0 {
-                                        continue;
-                                    }
-                                    for (jj, o) in gh.row_mut(s * c + i).iter_mut().enumerate() {
-                                        *o += x * g.data()[g_row_start + jj];
-                                    }
-                                }
-                            }
+                        // dh_s = a_sᵀ @ g_s — the per-graph `aᵀ @ g`.
+                        let mut gh = pooled_uninit(&mut self.pool, rows, d);
+                        let av = self.nodes[a].value.data();
+                        for s in 0..rows / c {
+                            let (a_s, blk) =
+                                (&av[s * c * c..(s + 1) * c * c], s * c * d..(s + 1) * c * d);
+                            gemm_tn(c, c, d, a_s, &g.data()[blk.clone()], &mut gh.data_mut()[blk]);
                         }
                         self.acc_grad(h, gh);
                     }
@@ -1795,6 +1739,38 @@ mod tests {
         t.backward(loss);
         let value = t.value(out).clone();
         (value, mask, t.grad(lv).unwrap().clone(), t.grad(rv).unwrap().clone())
+    }
+
+    /// The bias-style broadcast ops' gradients equal the per-element
+    /// `get`/`set` loops they are defined by — column sums with rows
+    /// ascending, row dot products with columns ascending — bit for bit,
+    /// under an upstream gradient with exact zeros.
+    #[test]
+    fn broadcast_gradients_match_elementwise_loops_bitwise() {
+        let (n, d) = (37, 19);
+        let a0 = seg_fixture(n, d, 51);
+        let (_, g, _, gb) =
+            masked_run(&a0, &seg_fixture(1, d, 52), |t, a, b| t.add_row_broadcast(a, b));
+        let mut want = Tensor::zeros(1, d);
+        for r in 0..n {
+            for c in 0..d {
+                want.set(0, c, want.get(0, c) + g.get(r, c));
+            }
+        }
+        assert!(g.data().contains(&0.0));
+        assert_eq!(gb.to_bits_vec(), want.to_bits_vec(), "add_row_broadcast bias gradient");
+
+        let (_, g, _, gb) =
+            masked_run(&a0, &seg_fixture(n, 1, 53), |t, a, b| t.mul_col_broadcast(a, b));
+        let mut want = Tensor::zeros(n, 1);
+        for r in 0..n {
+            let mut dot = 0.0;
+            for c in 0..d {
+                dot += g.get(r, c) * a0.get(r, c);
+            }
+            want.set(r, 0, dot);
+        }
+        assert_eq!(gb.to_bits_vec(), want.to_bits_vec(), "mul_col_broadcast scale gradient");
     }
 
     /// The DiffPool segment ops' forward and both gradients against plain

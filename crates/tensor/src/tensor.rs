@@ -149,8 +149,7 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self @ other`. Naive ikj loop; fast enough for the
-    /// small graphs (≲ a few thousand nodes) this workspace trains on.
+    /// Matrix product `self @ other`, by [`Tensor::matmul_into`].
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.rows, other.cols);
         self.matmul_into(other, &mut out);
@@ -165,18 +164,8 @@ impl Tensor {
     /// Accumulation order is the ikj loop with the inner dimension ascending
     /// and exact zeros of `self` skipped — the ordering contract every other
     /// matmul kernel in this crate (CSR SpMM, [`Tensor::matmul_tn_into`])
-    /// reproduces bit-for-bit.
-    ///
-    /// The kernel processes four output rows per pass so each `b` row load
-    /// is shared, and accumulates each 4×16 output tile in registers (the
-    /// column tile of `MM_JT`) so partial sums never round-trip through
-    /// memory — but every output element still receives exactly the per-row
-    /// sequence of `+= a * b` operations above: tiling changes which
-    /// elements are in flight, never the order of any single element's
-    /// accumulation. Columns past the last whole tile (all of them when
-    /// `other` is narrower than `MM_JT`, like DiffPool's assignment
-    /// GEMM) run through the same register tile over a zero-padded copy of
-    /// `other`'s tail columns; the padding lanes are discarded.
+    /// reproduces bit-for-bit. See `gemm_nn` for how the kernel tiles the
+    /// product and skips the zeros without a branch per element.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
@@ -184,53 +173,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
-        let n = other.cols;
-        let k_dim = self.cols;
-        let j_tail = n - n % MM_JT;
-        let tail = if j_tail < n && self.rows >= 4 {
-            padded_tail(other, 0..k_dim, j_tail)
-        } else {
-            Vec::new()
-        };
-        let mut i = 0;
-        while i + 4 <= self.rows {
-            let a = [self.row(i), self.row(i + 1), self.row(i + 2), self.row(i + 3)];
-            let (o0, rest) = out.data[i * n..(i + 4) * n].split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3) = rest.split_at_mut(n);
-            let mut j = 0;
-            while j < j_tail {
-                let c = strict_tile(a, k_dim, |p| &other.row(p)[j..j + MM_JT]);
-                o0[j..j + MM_JT].copy_from_slice(&c[0]);
-                o1[j..j + MM_JT].copy_from_slice(&c[1]);
-                o2[j..j + MM_JT].copy_from_slice(&c[2]);
-                o3[j..j + MM_JT].copy_from_slice(&c[3]);
-                j += MM_JT;
-            }
-            if j < n {
-                let w = n - j;
-                let c = strict_tile(a, k_dim, |p| &tail[p * MM_JT..(p + 1) * MM_JT]);
-                o0[j..].copy_from_slice(&c[0][..w]);
-                o1[j..].copy_from_slice(&c[1][..w]);
-                o2[j..].copy_from_slice(&c[2][..w]);
-                o3[j..].copy_from_slice(&c[3][..w]);
-            }
-            i += 4;
-        }
-        for r in i..self.rows {
-            let a_row = self.row(r);
-            let out_row = out.row_mut(r);
-            out_row.fill(0.0);
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(p);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm_nn(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
     }
 
     /// `selfᵀ @ other` written into `out` (shape `(self.cols, other.cols)`;
@@ -242,16 +185,7 @@ impl Tensor {
     /// transposed operand — and exact zeros of `self` are skipped the same
     /// way. Used by the tape's Matmul backward for `gb = aᵀ @ g`, where the
     /// explicit transpose of the (tall) activation matrix would cost a
-    /// strided copy per step.
-    /// Like [`Tensor::matmul_into`], 4×16 output tiles accumulate in
-    /// registers, narrow column tails included. The `p` dimension is
-    /// additionally processed in L1-sized chunks: each chunk reloads the
-    /// running tile from `out`, extends the accumulation, and spills back —
-    /// so the tall operands stream from cache once per chunk sweep instead
-    /// of once per output tile, while every output element still sees the
-    /// exact scalar sequence (`+= a * b` with `p` ascending, zeros of `self`
-    /// skipped).
-    #[allow(clippy::needless_range_loop)] // r indexes both a_row and out rows
+    /// strided copy per step. See `gemm_tn`.
     pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, other.rows,
@@ -259,85 +193,13 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.cols, other.cols), "matmul_tn output shape");
-        let (m, k) = (self.rows, self.cols);
-        let n = other.cols;
-        out.data.fill(0.0);
-        // ~`TN_PB * (k + n) * 4` bytes of operand rows per chunk; 256 rows
-        // at the typical k = n = 64 is 128 KiB — L2-resident, streamed once.
-        const TN_PB: usize = 256;
-        let j_tail = n - n % MM_JT;
-        let mut tail = Vec::new();
-        let mut p0 = 0;
-        while p0 < m {
-            let p1 = (p0 + TN_PB).min(m);
-            if j_tail < n && k >= 4 {
-                tail = padded_tail(other, p0..p1, j_tail);
-            }
-            let mut i = 0;
-            while i + 4 <= k {
-                let mut j = 0;
-                while j + MM_JT <= n {
-                    let mut c0 = [0.0f32; MM_JT];
-                    let mut c1 = [0.0f32; MM_JT];
-                    let mut c2 = [0.0f32; MM_JT];
-                    let mut c3 = [0.0f32; MM_JT];
-                    c0.copy_from_slice(&out.row(i)[j..j + MM_JT]);
-                    c1.copy_from_slice(&out.row(i + 1)[j..j + MM_JT]);
-                    c2.copy_from_slice(&out.row(i + 2)[j..j + MM_JT]);
-                    c3.copy_from_slice(&out.row(i + 3)[j..j + MM_JT]);
-                    for p in p0..p1 {
-                        let a_row = self.row(p);
-                        let b = &other.row(p)[j..j + MM_JT];
-                        tile_axpy_nonzero(&mut c0, a_row[i], b);
-                        tile_axpy_nonzero(&mut c1, a_row[i + 1], b);
-                        tile_axpy_nonzero(&mut c2, a_row[i + 2], b);
-                        tile_axpy_nonzero(&mut c3, a_row[i + 3], b);
-                    }
-                    out.row_mut(i)[j..j + MM_JT].copy_from_slice(&c0);
-                    out.row_mut(i + 1)[j..j + MM_JT].copy_from_slice(&c1);
-                    out.row_mut(i + 2)[j..j + MM_JT].copy_from_slice(&c2);
-                    out.row_mut(i + 3)[j..j + MM_JT].copy_from_slice(&c3);
-                    j += MM_JT;
-                }
-                if j < n {
-                    let w = n - j;
-                    let mut c = [[0.0f32; MM_JT]; 4];
-                    for (r, c) in c.iter_mut().enumerate() {
-                        c[..w].copy_from_slice(&out.row(i + r)[j..]);
-                    }
-                    for p in p0..p1 {
-                        let a_row = self.row(p);
-                        let b = &tail[(p - p0) * MM_JT..(p - p0 + 1) * MM_JT];
-                        for (r, c) in c.iter_mut().enumerate() {
-                            tile_axpy_nonzero(c, a_row[i + r], b);
-                        }
-                    }
-                    for (r, c) in c.iter().enumerate() {
-                        out.row_mut(i + r)[j..].copy_from_slice(&c[..w]);
-                    }
-                }
-                i += 4;
-            }
-            if i < k {
-                for p in p0..p1 {
-                    let a_row = self.row(p);
-                    for r in i..k {
-                        axpy_nonzero(out.row_mut(r), a_row[r], other.row(p));
-                    }
-                }
-            }
-            p0 = p1;
-        }
+        gemm_tn(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        transpose_into(self.rows, self.cols, &self.data, &mut out.data);
         out
     }
 
@@ -440,64 +302,15 @@ impl Tensor {
     }
 }
 
-/// `out += x * b` elementwise, skipped entirely when `x` is an exact zero —
-/// the strict kernel's per-row zero-skip, factored for the blocked path.
-#[inline]
-fn axpy_nonzero(out: &mut [f32], x: f32, b: &[f32]) {
-    if x == 0.0 {
-        return;
-    }
-    for (o, &bv) in out.iter_mut().zip(b.iter()) {
-        *o += x * bv;
-    }
-}
-
-/// Rows `rows` of `b`'s columns `j..` (fewer than [`MM_JT`] of them), each
-/// zero-padded to a whole register tile: the `b` operand of a narrow-tail
-/// tile, packed so the tile loop reads whole vectors.
-fn padded_tail(b: &Tensor, rows: std::ops::Range<usize>, j: usize) -> Vec<f32> {
-    let w = b.cols - j;
-    debug_assert!(w > 0 && w < MM_JT);
-    let mut tail = vec![0.0f32; rows.len() * MM_JT];
-    for (dst, p) in tail.chunks_exact_mut(MM_JT).zip(rows) {
-        dst[..w].copy_from_slice(&b.row(p)[j..]);
-    }
-    tail
-}
-
-/// One Strict 4×[`MM_JT`] register tile: `c[r][t] += a[r][p] * b(p)[t]`
-/// with `p` ascending from zero-initialised accumulators, zeros of `a`
-/// skipped per row — exactly the scalar loop's per-element sequence.
-#[inline(always)]
-fn strict_tile<'b>(
-    a: [&[f32]; 4],
-    k_dim: usize,
-    b: impl Fn(usize) -> &'b [f32],
-) -> [[f32; MM_JT]; 4] {
-    let [a0, a1, a2, a3] = a;
-    let [mut c0, mut c1, mut c2, mut c3] = [[0.0f32; MM_JT]; 4];
-    for p in 0..k_dim {
-        let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-        if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-            continue;
-        }
-        let b = &b(p)[..MM_JT];
-        if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
-            for t in 0..MM_JT {
-                c0[t] += x0 * b[t];
-                c1[t] += x1 * b[t];
-                c2[t] += x2 * b[t];
-                c3[t] += x3 * b[t];
-            }
-        } else {
-            // Per-row zero skips, exactly as the scalar loop decides.
-            tile_axpy_nonzero(&mut c0, x0, b);
-            tile_axpy_nonzero(&mut c1, x1, b);
-            tile_axpy_nonzero(&mut c2, x2, b);
-            tile_axpy_nonzero(&mut c3, x3, b);
+/// Write the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (`cols × rows`).
+pub(crate) fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
+    debug_assert_eq!((src.len(), dst.len()), (rows * cols, rows * cols));
+    for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
-    [c0, c1, c2, c3]
 }
 
 /// Column-tile width of the register-blocked matmul kernels: 16 f32 is two
@@ -515,6 +328,441 @@ pub(crate) fn tile_axpy_nonzero(c: &mut [f32; MM_JT], x: f32, b: &[f32]) {
     for t in 0..MM_JT {
         c[t] += x * b[t];
     }
+}
+
+/// Contraction indices per pass of the GEMM kernels. A chunk's nonzero
+/// positions fit a `u8`, so the index scratch is a few hundred bytes on the
+/// stack; the `b` rows of one chunk (`256 · n · 4` bytes, 64 KiB at
+/// `n = 64`) stay cache-resident while every output group sweeps them.
+const CHUNK: usize = 256;
+
+/// Capacity of one group member's position list: a chunk plus the eight
+/// lanes [`nonzero_positions`] may write past the last kept position.
+const NZ_CAP: usize = CHUNK + 8;
+
+/// Column width of the one-row tiles [`sparse_group`] runs on outputs at
+/// least this wide: eight vector accumulators, so one row alone has enough
+/// independent chains, and one index lookup feeds eight `b` vectors.
+const WIDE: usize = 4 * MM_JT;
+
+/// Ascending bit positions of every byte value, packed one per byte of a
+/// little-endian `u64`: the left-pack table of [`nonzero_positions`].
+const LEFT_PACK: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut word, mut slot, mut bit) = (0u64, 0, 0);
+        while bit < 8 {
+            if mask & (1 << bit) != 0 {
+                word |= (bit as u64) << (8 * slot);
+                slot += 1;
+            }
+            bit += 1;
+        }
+        table[mask] = word;
+        mask += 1;
+    }
+    table
+};
+
+/// Write the positions of `x`'s entries that are not exact zeros (NaN
+/// included, ±0.0 excluded) into `pos`, ascending, and return their count.
+/// Branch-free: eight entries become a byte mask, the mask selects their
+/// packed positions from [`LEFT_PACK`], and all eight bytes are stored while
+/// the count advances only by the kept ones — so the cost does not depend on
+/// where the zeros are. `x.len()` is at most [`CHUNK`].
+fn nonzero_positions(x: &[f32], pos: &mut [u8; NZ_CAP]) -> usize {
+    debug_assert!(x.len() <= CHUNK);
+    let mut len = 0;
+    let mut base = 0u64;
+    let mut eights = x.chunks_exact(8);
+    for e in &mut eights {
+        let mut mask = 0;
+        for (t, &v) in e.iter().enumerate() {
+            mask |= usize::from(v != 0.0) << t;
+        }
+        let packed = LEFT_PACK[mask] + base * 0x0101_0101_0101_0101;
+        pos[len..len + 8].copy_from_slice(&packed.to_le_bytes());
+        len += mask.count_ones() as usize;
+        base += 8;
+    }
+    for (t, &v) in eights.remainder().iter().enumerate() {
+        pos[len] = (base as usize + t) as u8;
+        len += usize::from(v != 0.0);
+    }
+    len
+}
+
+/// Number of exact zeros (±0.0) in `x`: a vectorised count, a fraction of
+/// the multiply-adds of the rows it sizes up.
+#[inline]
+fn zero_count(x: &[f32]) -> usize {
+    x.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as usize
+}
+
+/// A group of left-operand entries goes through the compacted path when
+/// more than `1 / COMPACT_ABOVE` of them are exact zeros, and through the
+/// shared-load [`strict_tile`] otherwise. From the `gemm/` cases of the
+/// `kernels` bench, compacted against the per-entry-branch tile on the
+/// same operands: at 3 % zeros the compacted path takes 1.4–2.1× as long
+/// at widths ≤ 32 (0.8–1.1× at 64); at 10 % it takes 0.8–1.2× at 94 and
+/// 1311 rows; at 20 % 0.4–0.9×, and at 60 % 0.2–0.4×. A zero-free group
+/// predicts every branch of the tile and runs at its full speed.
+const COMPACT_ABOVE: usize = 8;
+
+/// Whether `zeros` exact zeros among `entries` send a group to the
+/// compacted path (see [`COMPACT_ABOVE`]).
+#[inline]
+fn compacts(zeros: usize, entries: usize) -> bool {
+    zeros * COMPACT_ABOVE > entries
+}
+
+/// Run `f(r, row)` on each row of a register tile (at most four), every
+/// index a constant after inlining: a loop over `r` that the compiler
+/// leaves rolled would index the tile at run time and keep it in memory.
+#[inline(always)]
+fn each_row<const R: usize, const W: usize>(
+    acc: &mut [[f32; W]; R],
+    mut f: impl FnMut(usize, &mut [f32; W]),
+) {
+    const { assert!(R <= 4) };
+    if let Some(c) = acc.get_mut(0) {
+        f(0, c);
+    }
+    if let Some(c) = acc.get_mut(1) {
+        f(1, c);
+    }
+    if let Some(c) = acc.get_mut(2) {
+        f(2, c);
+    }
+    if let Some(c) = acc.get_mut(3) {
+        f(3, c);
+    }
+}
+
+/// `c[r] += x[r] · b(p)` for every `p` of `0..len` with `x[r]` not an exact
+/// zero: the shared-load tile, where one `b` load feeds all `R` rows. With
+/// `ZEROS` it tests each entry for zero, which costs little while the
+/// groups it runs hold few zeros (see [`COMPACT_ABOVE`]); without, the
+/// caller has counted none.
+#[inline(always)]
+fn strict_tile<'b, const R: usize, const ZEROS: bool>(
+    c: &mut [[f32; MM_JT]; R],
+    len: usize,
+    x: impl Fn(usize) -> [f32; R],
+    b: impl Fn(usize) -> &'b [f32; MM_JT],
+) {
+    // Accumulate in a local so the partial sums stay in registers: `c`
+    // itself would have to be kept current in memory at every bounds check
+    // that could unwind.
+    let mut acc = *c;
+    for p in 0..len {
+        let (x, b) = (x(p), b(p));
+        let axpy = |c: &mut [f32; MM_JT], x: f32| {
+            for t in 0..MM_JT {
+                c[t] += x * b[t];
+            }
+        };
+        if !ZEROS || x.iter().all(|&v| v != 0.0) {
+            each_row(&mut acc, |r, c| axpy(c, x[r]));
+        } else {
+            each_row(&mut acc, |r, c| {
+                if x[r] != 0.0 {
+                    axpy(c, x[r]);
+                }
+            });
+        }
+    }
+    *c = acc;
+}
+
+/// `c[r] += vals[r][p] · b(p)` for the listed positions `p` of `pos[r]`
+/// only, in list (ascending) order. The `R` rows advance in lockstep over
+/// their common length, so `R` independent accumulator chains hide the add
+/// latency; each row then finishes its own list.
+#[allow(clippy::needless_range_loop)] // q indexes every row's list
+#[inline(always)]
+fn sparse_tile<'b, const R: usize, const W: usize>(
+    c: &mut [[f32; W]; R],
+    vals: &[&[f32]; R],
+    pos: &[&[u8]; R],
+    b: impl Fn(usize) -> &'b [f32; W],
+) {
+    let common = pos.iter().map(|l| l.len()).min().unwrap_or(0);
+    let mut acc = *c; // in registers, as in `strict_tile`
+    let axpy = |c: &mut [f32; W], r: usize, p: u8| {
+        let p = usize::from(p);
+        let (x, b) = (vals[r][p], b(p));
+        for t in 0..W {
+            c[t] += x * b[t];
+        }
+    };
+    for q in 0..common {
+        each_row(&mut acc, |r, c| axpy(c, r, pos[r][q]));
+    }
+    each_row(&mut acc, |r, c| {
+        for &p in &pos[r][common..] {
+            axpy(c, r, p);
+        }
+    });
+    *c = acc;
+}
+
+/// One contraction chunk of a GEMM pass, with its `b` operand.
+struct Chunk<'t> {
+    /// Whether this is the first chunk (accumulators start at zero).
+    first: bool,
+    /// First contraction index of the chunk.
+    p0: usize,
+    /// Contraction indices in the chunk.
+    len: usize,
+    /// The whole right operand, row stride `n`.
+    b: &'t [f32],
+    n: usize,
+    /// `b`'s padded tail columns over the chunk's rows ([`pack_tail`]).
+    tail: &'t [f32],
+}
+
+impl Chunk<'_> {
+    /// `b`'s `W` columns from `j` at the chunk's row `p`.
+    #[inline(always)]
+    fn b_tile<const W: usize>(&self, p: usize, j: usize) -> &[f32; W] {
+        self.b[(self.p0 + p) * self.n + j..][..W].try_into().expect("tile width")
+    }
+
+    /// The padded tail columns at the chunk's row `p`.
+    #[inline(always)]
+    fn tail_tile(&self, p: usize) -> &[f32; MM_JT] {
+        self.tail[p * MM_JT..][..MM_JT].try_into().expect("tile width")
+    }
+}
+
+/// Which column tile of the output a [`sweep_columns`] step covers.
+#[derive(Clone, Copy)]
+enum ColTile {
+    /// The whole tile at column `j` of `b`.
+    Full(usize),
+    /// The last, narrower tile, read from the zero-padded tail copy.
+    Tail,
+}
+
+/// Run `tile` over the `W`-wide column tiles of `cols` in the `R` output
+/// rows of `out` (row stride `n`): the accumulators start at zero on the
+/// first contraction chunk and at `out`'s running sums after it, and are
+/// stored back after the tile. A round trip through memory is exact, so
+/// chunking never changes a bit.
+#[inline(always)]
+fn sweep_columns<const R: usize, const W: usize>(
+    out: &mut [f32],
+    n: usize,
+    cols: std::ops::Range<usize>,
+    first: bool,
+    mut tile: impl FnMut(&mut [[f32; W]; R], ColTile),
+) {
+    let mut j = cols.start;
+    while j < cols.end {
+        let w = (cols.end - j).min(W);
+        let mut c = [[0.0f32; W]; R];
+        if !first {
+            for (r, c) in c.iter_mut().enumerate() {
+                c[..w].copy_from_slice(&out[r * n + j..][..w]);
+            }
+        }
+        tile(&mut c, if w == W { ColTile::Full(j) } else { ColTile::Tail });
+        for (r, c) in c.iter().enumerate() {
+            out[r * n + j..][..w].copy_from_slice(&c[..w]);
+        }
+        j += W;
+    }
+}
+
+/// Rows `rows` of `b`'s columns past the last whole tile (fewer than
+/// [`MM_JT`] of them), each zero-padded to a whole register tile, into
+/// `tail`: the `b` operand of the narrow last tile, packed once per chunk
+/// so the tile loop reads whole vectors. The padding lanes only ever meet
+/// accumulator lanes that are discarded.
+fn pack_tail(tail: &mut [f32], b: &[f32], n: usize, rows: std::ops::Range<usize>) {
+    let j = n - n % MM_JT;
+    for (dst, p) in tail.chunks_exact_mut(MM_JT).zip(rows) {
+        dst[..n - j].copy_from_slice(&b[p * n + j..(p + 1) * n]);
+    }
+}
+
+/// `R` output rows over one chunk, their left values `vals[r][p]` given
+/// contiguously: [`sparse_group`] if [`compacts`] says so, else
+/// [`tile_group`], told whether there are zeros to test for.
+#[inline(always)]
+fn group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) {
+    let zeros = vals.iter().map(|v| zero_count(v)).sum();
+    let x = |p: usize| std::array::from_fn(|r| vals[r][p]);
+    if zeros == 0 {
+        tile_group::<R, false>(ch, out, x);
+    } else if compacts(zeros, R * ch.len) {
+        sparse_group(ch, out, vals);
+    } else {
+        tile_group::<R, true>(ch, out, x);
+    }
+}
+
+/// `R` output rows over one chunk through the shared-load [`strict_tile`],
+/// `x(p)` giving the `R` left values at `p`.
+#[inline(never)]
+fn tile_group<const R: usize, const ZEROS: bool>(
+    ch: &Chunk,
+    out: &mut [f32],
+    x: impl Fn(usize) -> [f32; R] + Copy,
+) {
+    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.first, |c, col| match col {
+        ColTile::Full(j) => strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.b_tile(p, j)),
+        ColTile::Tail => strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.tail_tile(p)),
+    });
+}
+
+/// `R` output rows over one chunk that skip zeros: each row's nonzero
+/// positions are compacted once, then every column tile multiplies only
+/// those — one row at a time in [`WIDE`] tiles where the output is that
+/// wide, the remaining columns in `R`-row [`MM_JT`] tiles.
+#[inline(never)]
+fn sparse_group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) {
+    let mut pos = [[0u8; NZ_CAP]; R];
+    let cnt: [usize; R] = std::array::from_fn(|r| nonzero_positions(vals[r], &mut pos[r]));
+    let lists: [&[u8]; R] = std::array::from_fn(|r| &pos[r][..cnt[r]]);
+    let n = ch.n;
+    let wide_end = n - n % WIDE;
+    if wide_end > 0 {
+        for (r, row) in out.chunks_exact_mut(n).enumerate() {
+            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.first, |c, col| match col {
+                ColTile::Full(j) => sparse_tile(c, &[vals[r]], &[lists[r]], |p| ch.b_tile(p, j)),
+                ColTile::Tail => unreachable!("wide tiles stop at the last whole one"),
+            });
+        }
+    }
+    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.first, |c, col| match col {
+        ColTile::Full(j) => sparse_tile(c, &vals, &lists, |p| ch.b_tile(p, j)),
+        ColTile::Tail => sparse_tile(c, &vals, &lists, |p| ch.tail_tile(p)),
+    });
+}
+
+/// The Strict product `out = a @ b` on row-major slices: `a` is `m × k`,
+/// `b` is `k × n`, `out` is `m × n` and overwritten. Every output element
+/// receives `+= a[i][p] · b[p][j]` with `p` ascending from zero, exact
+/// zeros (±0.0) of `a` skipped — the scalar ikj loop's sequence, bit for
+/// bit.
+///
+/// Output rows go in groups of four (then singly), over the contraction in
+/// [`CHUNK`]s, in register tiles whose partial sums never touch memory
+/// within a chunk. How a group skips zeros depends only on how many its
+/// rows hold in the chunk ([`COMPACT_ABOVE`]):
+///
+/// * few or none: [`strict_tile`], where one `b` load feeds all four rows
+///   and each entry is tested for zero;
+/// * more: each row's nonzero positions are compacted
+///   ([`nonzero_positions`]) and [`sparse_tile`] multiplies only those. A
+///   data-dependent branch per entry mispredicts on ReLU outputs, which
+///   carry 40–70 % zeros in no pattern; a list costs the same wherever the
+///   zeros fall and does none of the skipped work.
+///
+/// A zero is never multiplied, not even where that would add `±0.0`:
+/// `0 · inf` and `0 · NaN` are NaN, so only skipping keeps the contract for
+/// every `b`. Columns past the last whole tile run the same tiles over a
+/// zero-padded copy of `b`'s tail columns.
+pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n));
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut tail = [0.0f32; CHUNK * MM_JT];
+    let mut p0 = 0;
+    while p0 < k {
+        let p1 = (p0 + CHUNK).min(k);
+        if !n.is_multiple_of(MM_JT) {
+            pack_tail(&mut tail, b, n, p0..p1);
+        }
+        let ch = Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail: &tail };
+        let row = |i: usize| &a[i * k + p0..i * k + p1];
+        let mut i = 0;
+        while i + 4 <= m {
+            group::<4>(&ch, &mut out[i * n..(i + 4) * n], std::array::from_fn(|r| row(i + r)));
+            i += 4;
+        }
+        for i in i..m {
+            group::<1>(&ch, &mut out[i * n..(i + 1) * n], [row(i)]);
+        }
+        p0 = p1;
+    }
+}
+
+/// The Strict product `out = aᵀ @ b` on row-major slices: `a` is `m × k`,
+/// `b` is `m × n`, `out` is `k × n` and overwritten. Output row `i`
+/// receives `+= a[p][i] · b[p][..]` with `p` ascending from zero, exact
+/// zeros of `a` skipped — [`gemm_nn`]'s sequence on the transposed `a`,
+/// bit for bit, without materialising the transpose.
+///
+/// The contraction runs in [`CHUNK`]s of `a`/`b` rows, so the tall operands
+/// stream from cache once per chunk sweep instead of once per output tile.
+/// Output rows (columns of `a`) go in groups of four. A chunk of `a` with
+/// too few zeros to compact runs every group through [`strict_tile`],
+/// reading `a` in place. Otherwise each group's columns are copied out
+/// contiguously and take [`gemm_nn`]'s choice between the shared-load and
+/// the compacted tiles — with the same reason never to multiply a zero.
+pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!((a.len(), b.len(), out.len()), (m * k, m * n, k * n));
+    if m == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut tail = [0.0f32; CHUNK * MM_JT];
+    let mut cols = [[0.0f32; CHUNK]; 4];
+    let mut p0 = 0;
+    while p0 < m {
+        let p1 = (p0 + CHUNK).min(m);
+        if !n.is_multiple_of(MM_JT) {
+            pack_tail(&mut tail, b, n, p0..p1);
+        }
+        let ch = Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail: &tail };
+        let a_ch = &a[p0 * k..p1 * k];
+        let zeros = zero_count(a_ch);
+        let in_place = (!compacts(zeros, a_ch.len())).then_some(zeros > 0);
+        let mut i = 0;
+        while i + 4 <= k {
+            tn_group::<4>(&ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
+            i += 4;
+        }
+        for i in i..k {
+            tn_group::<1>(&ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
+        }
+        p0 = p1;
+    }
+}
+
+/// Output rows `i..i + R` of [`gemm_tn`] over one chunk, whose rows of `a`
+/// are `a_ch` (row stride `k`). With `in_place` (the chunk holds too few
+/// zeros to compact anywhere; `Some(whether it holds any)`) the group runs
+/// [`strict_tile`] reading `a` in place; otherwise its columns are copied
+/// into `cols` for [`group`] to size up.
+#[inline(always)]
+fn tn_group<const R: usize>(
+    ch: &Chunk,
+    in_place: Option<bool>,
+    a_ch: &[f32],
+    k: usize,
+    i: usize,
+    cols: &mut [[f32; CHUNK]; 4],
+    out: &mut [f32],
+) {
+    let x = |p: usize| -> [f32; R] { a_ch[p * k + i..][..R].try_into().expect("group") };
+    match in_place {
+        Some(false) => return tile_group::<R, false>(ch, out, x),
+        Some(true) => return tile_group::<R, true>(ch, out, x),
+        None => {}
+    }
+    for (p, row) in a_ch.chunks_exact(k).enumerate() {
+        for (r, &v) in row[i..i + R].iter().enumerate() {
+            cols[r][p] = v;
+        }
+    }
+    group::<R>(ch, out, std::array::from_fn(|r| &cols[r][..ch.len]));
 }
 
 impl fmt::Debug for Tensor {
