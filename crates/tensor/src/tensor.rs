@@ -672,23 +672,31 @@ pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
         out.fill(0.0);
         return;
     }
-    let mut tail = [0.0f32; CHUNK * MM_JT];
-    let mut p0 = 0;
-    while p0 < k {
-        let p1 = (p0 + CHUNK).min(k);
-        if !n.is_multiple_of(MM_JT) {
-            pack_tail(&mut tail, b, n, p0..p1);
-        }
-        let ch = Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail: &tail };
-        let row = |i: usize| &a[i * k + p0..i * k + p1];
+    for_each_chunk(k, b, n, |ch| {
+        let row = |i: usize| &a[i * k + ch.p0..][..ch.len];
         let mut i = 0;
         while i + 4 <= m {
-            group::<4>(&ch, &mut out[i * n..(i + 4) * n], std::array::from_fn(|r| row(i + r)));
+            group::<4>(ch, &mut out[i * n..(i + 4) * n], std::array::from_fn(|r| row(i + r)));
             i += 4;
         }
         for i in i..m {
-            group::<1>(&ch, &mut out[i * n..(i + 1) * n], [row(i)]);
+            group::<1>(ch, &mut out[i * n..(i + 1) * n], [row(i)]);
         }
+    });
+}
+
+/// Hand `pass` the contraction `0..len` in [`CHUNK`]s, each with `b`'s
+/// padded tail columns over its rows packed (when `n` leaves a tail).
+fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk)) {
+    let mut tail = if n.is_multiple_of(MM_JT) { None } else { Some([0.0f32; CHUNK * MM_JT]) };
+    let mut p0 = 0;
+    while p0 < len {
+        let p1 = (p0 + CHUNK).min(len);
+        if let Some(tail) = &mut tail {
+            pack_tail(tail, b, n, p0..p1);
+        }
+        let tail = tail.as_ref().map_or(&[][..], |t| &t[..]);
+        pass(&Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail });
         p0 = p1;
     }
 }
@@ -712,28 +720,20 @@ pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
         out.fill(0.0);
         return;
     }
-    let mut tail = [0.0f32; CHUNK * MM_JT];
     let mut cols = [[0.0f32; CHUNK]; 4];
-    let mut p0 = 0;
-    while p0 < m {
-        let p1 = (p0 + CHUNK).min(m);
-        if !n.is_multiple_of(MM_JT) {
-            pack_tail(&mut tail, b, n, p0..p1);
-        }
-        let ch = Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail: &tail };
-        let a_ch = &a[p0 * k..p1 * k];
+    for_each_chunk(m, b, n, |ch| {
+        let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
         let zeros = zero_count(a_ch);
         let in_place = (!compacts(zeros, a_ch.len())).then_some(zeros > 0);
         let mut i = 0;
         while i + 4 <= k {
-            tn_group::<4>(&ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
+            tn_group::<4>(ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
             i += 4;
         }
         for i in i..k {
-            tn_group::<1>(&ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
+            tn_group::<1>(ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
         }
-        p0 = p1;
-    }
+    });
 }
 
 /// Output rows `i..i + R` of [`gemm_tn`] over one chunk, whose rows of `a`
