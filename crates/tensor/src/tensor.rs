@@ -342,7 +342,9 @@ const NZ_CAP: usize = CHUNK + 8;
 
 /// Column width of the one-row tiles [`sparse_group`] runs on outputs at
 /// least this wide: eight vector accumulators, so one row alone has enough
-/// independent chains, and one index lookup feeds eight `b` vectors.
+/// independent chains, and one index lookup feeds eight `b` vectors. On
+/// the `kernels` bench's 60 %-zero `gemm/{nn,tn}/n64` cases they take
+/// 0.65–0.72× the time of four-row 16-wide tiles over the same lists.
 const WIDE: usize = 4 * MM_JT;
 
 /// Ascending bit positions of every byte value, packed one per byte of a
@@ -402,12 +404,13 @@ fn zero_count(x: &[f32]) -> usize {
 
 /// A group of left-operand entries goes through the compacted path when
 /// more than `1 / COMPACT_ABOVE` of them are exact zeros, and through the
-/// shared-load [`strict_tile`] otherwise. From the `gemm/` cases of the
-/// `kernels` bench, compacted against the per-entry-branch tile on the
-/// same operands: at 3 % zeros the compacted path takes 1.4–2.1× as long
-/// at widths ≤ 32 (0.8–1.1× at 64); at 10 % it takes 0.8–1.2× at 94 and
-/// 1311 rows; at 20 % 0.4–0.9×, and at 60 % 0.2–0.4×. A zero-free group
-/// predicts every branch of the tile and runs at its full speed.
+/// shared-load [`strict_tile`] otherwise. Measured on the `kernels`
+/// bench's `gemm/` cases, run also at 3, 10, 20 and 30 % zeros with each
+/// path forced in turn, the compacted path against the per-entry-branch
+/// tile on the same operands takes 1.4–2.1× as long at 3 % zeros and
+/// widths ≤ 32 (0.8–1.1× at 64), 0.8–1.2× at 10 % (94 and 1311 rows),
+/// 0.4–0.9× at 20 % and 0.2–0.4× at 60 %. A zero-free group predicts every
+/// branch of the tile, which then runs without its zero test.
 const COMPACT_ABOVE: usize = 8;
 
 /// Whether `zeros` exact zeros among `entries` send a group to the
@@ -537,27 +540,20 @@ impl Chunk<'_> {
     }
 }
 
-/// Which column tile of the output a [`sweep_columns`] step covers.
-#[derive(Clone, Copy)]
-enum ColTile {
-    /// The whole tile at column `j` of `b`.
-    Full(usize),
-    /// The last, narrower tile, read from the zero-padded tail copy.
-    Tail,
-}
-
-/// Run `tile` over the `W`-wide column tiles of `cols` in the `R` output
-/// rows of `out` (row stride `n`): the accumulators start at zero on the
-/// first contraction chunk and at `out`'s running sums after it, and are
-/// stored back after the tile. A round trip through memory is exact, so
-/// chunking never changes a bit.
+/// Run `tile(acc, j)` over the `W`-wide column tiles from `j` in `cols`
+/// of the `R` output rows in `out` (row stride `n`). The accumulators
+/// start at zero on the first contraction chunk and at `out`'s running
+/// sums after it, and are stored back after the tile; a round trip through
+/// memory is exact, so chunking never changes a bit. Only a last tile at
+/// `n` can be narrower than `W`; the caller's tile reads it from
+/// [`Chunk::tail_tile`].
 #[inline(always)]
 fn sweep_columns<const R: usize, const W: usize>(
     out: &mut [f32],
     n: usize,
     cols: std::ops::Range<usize>,
     first: bool,
-    mut tile: impl FnMut(&mut [[f32; W]; R], ColTile),
+    mut tile: impl FnMut(&mut [[f32; W]; R], usize),
 ) {
     let mut j = cols.start;
     while j < cols.end {
@@ -568,7 +564,7 @@ fn sweep_columns<const R: usize, const W: usize>(
                 c[..w].copy_from_slice(&out[r * n + j..][..w]);
             }
         }
-        tile(&mut c, if w == W { ColTile::Full(j) } else { ColTile::Tail });
+        tile(&mut c, j);
         for (r, c) in c.iter().enumerate() {
             out[r * n + j..][..w].copy_from_slice(&c[..w]);
         }
@@ -612,9 +608,12 @@ fn tile_group<const R: usize, const ZEROS: bool>(
     out: &mut [f32],
     x: impl Fn(usize) -> [f32; R] + Copy,
 ) {
-    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.first, |c, col| match col {
-        ColTile::Full(j) => strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.b_tile(p, j)),
-        ColTile::Tail => strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.tail_tile(p)),
+    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.first, |c, j| {
+        if j + MM_JT <= ch.n {
+            strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.b_tile(p, j));
+        } else {
+            strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.tail_tile(p));
+        }
     });
 }
 
@@ -631,15 +630,17 @@ fn sparse_group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) 
     let wide_end = n - n % WIDE;
     if wide_end > 0 {
         for (r, row) in out.chunks_exact_mut(n).enumerate() {
-            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.first, |c, col| match col {
-                ColTile::Full(j) => sparse_tile(c, &[vals[r]], &[lists[r]], |p| ch.b_tile(p, j)),
-                ColTile::Tail => unreachable!("wide tiles stop at the last whole one"),
+            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.first, |c, j| {
+                sparse_tile(c, &[vals[r]], &[lists[r]], |p| ch.b_tile(p, j));
             });
         }
     }
-    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.first, |c, col| match col {
-        ColTile::Full(j) => sparse_tile(c, &vals, &lists, |p| ch.b_tile(p, j)),
-        ColTile::Tail => sparse_tile(c, &vals, &lists, |p| ch.tail_tile(p)),
+    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.first, |c, j| {
+        if j + MM_JT <= n {
+            sparse_tile(c, &vals, &lists, |p| ch.b_tile(p, j));
+        } else {
+            sparse_tile(c, &vals, &lists, |p| ch.tail_tile(p));
+        }
     });
 }
 
