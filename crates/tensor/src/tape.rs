@@ -1169,12 +1169,12 @@ impl Tape {
                 }
                 Op::SegMatmulTn(m, x, offsets) => {
                     let (c, d) = (self.nodes[m].value.cols(), self.nodes[x].value.cols());
-                    let n = *offsets.last().unwrap();
+                    let n = *offsets.last().expect("offsets were checked non-empty");
                     if self.nodes[m].requires {
                         // dm_s = (g_s @ x_sᵀ)ᵀ: the per-graph tape's Matmul
                         // backward `g @ bᵀ` (zeros of g skipped), then the
                         // transpose backward's pure copy.
-                        let longest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+                        let longest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
                         let mut xt = self.pool.take_any(d * longest);
                         let mut prod = self.pool.take_any(c * longest);
                         let mut gm = pooled_uninit(&mut self.pool, n, c);
