@@ -513,9 +513,7 @@ fn sparse_tile<'b, const R: usize, const W: usize>(
 
 /// One contraction chunk of a GEMM pass, with its `b` operand.
 struct Chunk<'t> {
-    /// Whether this is the first chunk (accumulators start at zero).
-    first: bool,
-    /// First contraction index of the chunk.
+    /// First contraction index of the chunk (0: accumulators start at zero).
     p0: usize,
     /// Contraction indices in the chunk.
     len: usize,
@@ -586,33 +584,33 @@ fn pack_tail(tail: &mut [f32], b: &[f32], n: usize, rows: std::ops::Range<usize>
 
 /// `R` output rows over one chunk, their left values `vals[r][p]` given
 /// contiguously: [`sparse_group`] if [`compacts`] says so, else
-/// [`tile_group`], told whether there are zeros to test for.
+/// [`tile_group`].
 #[inline(always)]
 fn group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) {
     let zeros = vals.iter().map(|v| zero_count(v)).sum();
-    let x = |p: usize| std::array::from_fn(|r| vals[r][p]);
-    if zeros == 0 {
-        tile_group::<R, false>(ch, out, x);
-    } else if compacts(zeros, R * ch.len) {
+    if compacts(zeros, R * ch.len) {
         sparse_group(ch, out, vals);
     } else {
-        tile_group::<R, true>(ch, out, x);
+        tile_group::<R>(ch, out, zeros > 0, |p| std::array::from_fn(|r| vals[r][p]));
     }
 }
 
 /// `R` output rows over one chunk through the shared-load [`strict_tile`],
-/// `x(p)` giving the `R` left values at `p`.
+/// `x(p)` giving the `R` left values at `p`; the tile tests entries for
+/// zero only when the group `has_zeros`.
 #[inline(never)]
-fn tile_group<const R: usize, const ZEROS: bool>(
+fn tile_group<const R: usize>(
     ch: &Chunk,
     out: &mut [f32],
+    has_zeros: bool,
     x: impl Fn(usize) -> [f32; R] + Copy,
 ) {
-    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.first, |c, j| {
-        if j + MM_JT <= ch.n {
-            strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.b_tile(p, j));
-        } else {
-            strict_tile::<R, ZEROS>(c, ch.len, x, |p| ch.tail_tile(p));
+    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.p0 == 0, |c, j| {
+        match (has_zeros, j + MM_JT <= ch.n) {
+            (false, true) => strict_tile::<R, false>(c, ch.len, x, |p| ch.b_tile(p, j)),
+            (false, false) => strict_tile::<R, false>(c, ch.len, x, |p| ch.tail_tile(p)),
+            (true, true) => strict_tile::<R, true>(c, ch.len, x, |p| ch.b_tile(p, j)),
+            (true, false) => strict_tile::<R, true>(c, ch.len, x, |p| ch.tail_tile(p)),
         }
     });
 }
@@ -630,12 +628,12 @@ fn sparse_group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) 
     let wide_end = n - n % WIDE;
     if wide_end > 0 {
         for (r, row) in out.chunks_exact_mut(n).enumerate() {
-            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.first, |c, j| {
+            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.p0 == 0, |c, j| {
                 sparse_tile(c, &[vals[r]], &[lists[r]], |p| ch.b_tile(p, j));
             });
         }
     }
-    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.first, |c, j| {
+    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.p0 == 0, |c, j| {
         if j + MM_JT <= n {
             sparse_tile(c, &vals, &lists, |p| ch.b_tile(p, j));
         } else {
@@ -697,7 +695,7 @@ fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk))
             pack_tail(tail, b, n, p0..p1);
         }
         let tail = tail.as_ref().map_or(&[][..], |t| &t[..]);
-        pass(&Chunk { first: p0 == 0, p0, len: p1 - p0, b, n, tail });
+        pass(&Chunk { p0, len: p1 - p0, b, n, tail });
         p0 = p1;
     }
 }
@@ -725,38 +723,35 @@ pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
     for_each_chunk(m, b, n, |ch| {
         let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
         let zeros = zero_count(a_ch);
-        let in_place = (!compacts(zeros, a_ch.len())).then_some(zeros > 0);
         let mut i = 0;
         while i + 4 <= k {
-            tn_group::<4>(ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
+            tn_group::<4>(ch, zeros, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
             i += 4;
         }
         for i in i..k {
-            tn_group::<1>(ch, in_place, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
+            tn_group::<1>(ch, zeros, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
         }
     });
 }
 
 /// Output rows `i..i + R` of [`gemm_tn`] over one chunk, whose rows of `a`
-/// are `a_ch` (row stride `k`). With `in_place` (the chunk holds too few
-/// zeros to compact anywhere; `Some(whether it holds any)`) the group runs
-/// [`strict_tile`] reading `a` in place; otherwise its columns are copied
-/// into `cols` for [`group`] to size up.
+/// are `a_ch` (row stride `k`) and hold `zeros` exact zeros in all. Too
+/// few to compact anywhere: the group runs [`strict_tile`] reading `a` in
+/// place. Otherwise its columns are copied into `cols` for [`group`] to
+/// size up.
 #[inline(always)]
 fn tn_group<const R: usize>(
     ch: &Chunk,
-    in_place: Option<bool>,
+    zeros: usize,
     a_ch: &[f32],
     k: usize,
     i: usize,
     cols: &mut [[f32; CHUNK]; 4],
     out: &mut [f32],
 ) {
-    let x = |p: usize| -> [f32; R] { a_ch[p * k + i..][..R].try_into().expect("group") };
-    match in_place {
-        Some(false) => return tile_group::<R, false>(ch, out, x),
-        Some(true) => return tile_group::<R, true>(ch, out, x),
-        None => {}
+    if !compacts(zeros, a_ch.len()) {
+        let x = |p: usize| -> [f32; R] { a_ch[p * k + i..][..R].try_into().expect("group") };
+        return tile_group(ch, out, zeros > 0, x);
     }
     for (p, row) in a_ch.chunks_exact(k).enumerate() {
         for (r, &v) in row[i..i + R].iter().enumerate() {
