@@ -5,9 +5,6 @@
 //! walk embeddings (Table III rows 1-2, 12), the per-account LDG scoring
 //! forward, the Strict activation kernels of the GSG / LDG forward and the
 //! two Strict GEMM kernels every tape matmul runs on.
-//!
-//! `cargo bench -p bench --bench kernels -- <substring>` runs only the
-//! benchmarks whose name contains `<substring>` (e.g. `gemm/`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -56,17 +56,7 @@ impl Criterion {
         self
     }
 
-    /// Time `f`, unless a name filter was given on the command line (the
-    /// first argument not starting with `-`, as in `cargo bench -- gemm/`)
-    /// and `name` does not contain it.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        if std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'))
-            .is_some_and(|f| !name.contains(&f))
-        {
-            return self;
-        }
         // Warm-up pass (also sizes one sample).
         let mut b = Bencher { iters: self.warmup_iters, elapsed: Duration::ZERO };
         f(&mut b);

@@ -409,8 +409,8 @@ fn zero_count(x: &[f32]) -> usize {
 /// path forced in turn, the compacted path against the per-entry-branch
 /// tile on the same operands takes 1.4–2.1× as long at 3 % zeros and
 /// widths ≤ 32 (0.8–1.1× at 64), 0.8–1.2× at 10 % (94 and 1311 rows),
-/// 0.4–0.9× at 20 % and 0.2–0.4× at 60 %. A zero-free group predicts every
-/// branch of the tile, which then runs without its zero test.
+/// 0.4–0.9× at 20 % and 0.2–0.4× at 60 %. A zero-free group runs the tile
+/// without its zero test.
 const COMPACT_ABOVE: usize = 8;
 
 /// Whether `zeros` exact zeros among `entries` send a group to the
@@ -447,7 +447,11 @@ fn each_row<const R: usize, const W: usize>(
 /// zero: the shared-load tile, where one `b` load feeds all `R` rows. With
 /// `ZEROS` it tests each entry for zero, which costs little while the
 /// groups it runs hold few zeros (see [`COMPACT_ABOVE`]); without, the
-/// caller has counted none.
+/// caller has counted none. The untested form pays for itself: sending
+/// every zero-free group through the tested one, whose all-nonzero arm
+/// still tests the `R` entries of each `p`, makes the `kernels` bench's
+/// dense `gemm/nn` cases take 1.16–1.34× as long (1.1–1.4× with the `R`
+/// tests folded into one vector compare).
 #[inline(always)]
 fn strict_tile<'b, const R: usize, const ZEROS: bool>(
     c: &mut [[f32; MM_JT]; R],
@@ -719,10 +723,10 @@ pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
         out.fill(0.0);
         return;
     }
-    let mut cols = [[0.0f32; CHUNK]; 4];
     for_each_chunk(m, b, n, |ch| {
         let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
         let zeros = zero_count(a_ch);
+        let mut cols = None;
         let mut i = 0;
         while i + 4 <= k {
             tn_group::<4>(ch, zeros, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
@@ -738,7 +742,12 @@ pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
 /// are `a_ch` (row stride `k`) and hold `zeros` exact zeros in all. Too
 /// few to compact anywhere: the group runs [`strict_tile`] reading `a` in
 /// place. Otherwise its columns are copied into `cols` for [`group`] to
-/// size up.
+/// size up; the buffer is zeroed on first use in the chunk.
+///
+/// Reading in place pays for itself: copying the columns out for every
+/// group makes the `kernels` bench's dense `gemm/tn` cases take 1.13–2.0×
+/// as long, since the copy is a strided load and store per entry of `a`
+/// against `n` multiply-adds.
 #[inline(always)]
 fn tn_group<const R: usize>(
     ch: &Chunk,
@@ -746,13 +755,14 @@ fn tn_group<const R: usize>(
     a_ch: &[f32],
     k: usize,
     i: usize,
-    cols: &mut [[f32; CHUNK]; 4],
+    cols: &mut Option<[[f32; CHUNK]; 4]>,
     out: &mut [f32],
 ) {
     if !compacts(zeros, a_ch.len()) {
         let x = |p: usize| -> [f32; R] { a_ch[p * k + i..][..R].try_into().expect("group") };
         return tile_group(ch, out, zeros > 0, x);
     }
+    let cols = cols.get_or_insert([[0.0f32; CHUNK]; 4]);
     for (p, row) in a_ch.chunks_exact(k).enumerate() {
         for (r, &v) in row[i..i + R].iter().enumerate() {
             cols[r][p] = v;
