@@ -273,15 +273,17 @@ fn gemm_operand(rows: usize, cols: usize, zero_pct: u32, salt: u32) -> Tensor {
 /// (the GSG/LDG hidden width), output widths 4/8/12 (DiffPool's assignment
 /// columns, padded tails), 16/32 (`Dbg4EthConfig::fast()`) and 64, over
 /// 30 (a small account), 94 (the mean account) and 1311 (a packed
-/// mini-batch) rows, on a dense left operand and on one with 60 % exact
-/// zeros. `nn` is `(rows, 64) @ (64, n)` (`Tensor::matmul_into`, the tape
-/// forward and `g @ bᵀ`); `tn` is `(rows, 64)ᵀ @ (rows, n)`
+/// mini-batch) rows, on a left operand with no exact zeros, 5 % and 60 %:
+/// one case on each side of each choice the kernels make from zero counts
+/// (the tile without its zero test, with it, and the compacted path).
+/// `nn` is `(rows, 64) @ (64, n)` (`Tensor::matmul_into`, the tape forward
+/// and `g @ bᵀ`); `tn` is `(rows, 64)ᵀ @ (rows, n)`
 /// (`Tensor::matmul_tn_into`, the weight gradient `aᵀ @ g`).
 fn bench_gemm(c: &mut Criterion) {
     const K: usize = 64;
     for n in [4, 8, 12, 16, 32, 64] {
         for rows in [30, 94, 1311] {
-            for zero_pct in [0, 60] {
+            for zero_pct in [0, 5, 60] {
                 // A branch predictor memorises the zero pattern of a small
                 // operand timed over and over, which a training run never
                 // repeats: small shapes rotate through eight operands.
