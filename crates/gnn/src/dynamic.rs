@@ -364,6 +364,55 @@ mod tests {
         }
     }
 
+    /// Digest of the loss and every parameter gradient after one training
+    /// step (forward, cross-entropy, backward) over `graphs` packed with
+    /// `packed_slices` slices for an encoder of `t_slices`.
+    fn train_step_digest(
+        layers: usize,
+        t_slices: usize,
+        graphs: &[GraphTensors],
+        packed_slices: usize,
+    ) -> u64 {
+        let (mut store, enc) = encoder_with_slices(layers, t_slices);
+        let refs: Vec<&GraphTensors> = graphs.iter().collect();
+        let batch = LdgBatch::pack(&refs, packed_slices);
+        let targets: Vec<usize> = graphs.iter().map(|g| g.label.unwrap()).collect();
+        let mut tape = Tape::with_pool(BufferPool::new());
+        let mut ctx = Ctx::new(&store);
+        let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
+        let loss = tape.cross_entropy(out.logits, Arc::new(targets));
+        tape.backward(loss);
+        ctx.accumulate_grads(&tape, &mut store);
+        crate::testutil::grad_digest(&store, tape.value(loss).item())
+    }
+
+    /// Every gradient bit of one LDG training step, pinned at T = 10 for
+    /// pool depths 1..=3, over a mixed batch and over a pack with fewer
+    /// slices than `T` (the `slice_csr.last()` reuse branch).
+    #[test]
+    fn training_step_gradients_are_pinned() {
+        let mixed = |slices: usize| -> Vec<GraphTensors> {
+            [(24, 1, false), (7, 0, true), (3, 1, false), (11, 0, false)]
+                .iter()
+                .map(|&(n, label, bursty)| {
+                    GraphTensors::from_subgraph(&ring(n, label, bursty), slices)
+                })
+                .collect()
+        };
+        let (full, short) = (mixed(10), mixed(2));
+        let got: Vec<[u64; 2]> = (1..=3)
+            .map(|layers| {
+                [train_step_digest(layers, 10, &full, 10), train_step_digest(layers, 10, &short, 2)]
+            })
+            .collect();
+        let want: [[u64; 2]; 3] = [
+            [0x6a3e_bc06_9549_4b0f, 0x218d_32b5_dab7_7bd4],
+            [0x083e_d873_25f7_31d3, 0xc589_32ae_6846_220b],
+            [0x783e_6c59_1497_29a9, 0x5eae_c50a_7049_d775],
+        ];
+        assert_eq!(got, want, "per pool depth 1..=3: [full, fewer slices]");
+    }
+
     #[test]
     fn gradients_reach_gru_and_time_attention() {
         let (mut store, enc) = encoder(2);

@@ -289,6 +289,63 @@ mod tests {
         }
     }
 
+    /// A second toy graph: a five-account star around the centre plus one
+    /// rim edge.
+    fn star_graph(label: usize) -> GraphTensors {
+        let tx = |src: usize, dst: usize, i: u64| LocalTx {
+            src,
+            dst,
+            value: 0.5 + i as f64,
+            timestamp: 100 * i,
+            fee: 0.001,
+            contract_call: i % 3 == 0,
+        };
+        let g = Subgraph::from_parts(
+            (0..5).collect(),
+            vec![AccountKind::Eoa; 5],
+            vec![tx(1, 0, 1), tx(2, 0, 2), tx(0, 3, 3), tx(0, 4, 4), tx(3, 4, 5)],
+            Some(label),
+        );
+        GraphTensors::from_subgraph(&g, 3)
+    }
+
+    /// Every gradient bit of one GSG training step with two GAT layers, as
+    /// the trainer runs it: the batch and both augmented views forwarded on
+    /// one tape, cross-entropy plus the weighted contrastive loss.
+    #[test]
+    fn training_step_gradients_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let cfg = GsgConfig { hidden: 16, heads: 2, d_out: 8, layers: 2, ..Default::default() };
+        let enc = GsgEncoder::new(&mut store, &mut rng, cfg);
+        let graphs = [toy_graph(1), star_graph(0), toy_graph(0)];
+        let views: Vec<_> = graphs
+            .iter()
+            .map(|g| {
+                let v1 = crate::augment(g, crate::AugmentConfig::view1(), &mut rng);
+                let v2 = crate::augment(g, crate::AugmentConfig::view2(), &mut rng);
+                (v1, v2)
+            })
+            .collect();
+        let mut tape = Tape::with_pool(tensor::BufferPool::new());
+        let mut ctx = Ctx::new(&store);
+        let batch = GsgBatch::pack(graphs.iter().map(GsgItem::from));
+        let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
+        let b1 = GsgBatch::pack(views.iter().map(|(v1, _)| GsgItem::from(v1)));
+        let o1 = enc.forward_batch(&mut tape, &mut ctx, &store, &b1);
+        let b2 = GsgBatch::pack(views.iter().map(|(_, v2)| GsgItem::from(v2)));
+        let o2 = enc.forward_batch(&mut tape, &mut ctx, &store, &b2);
+        let targets = graphs.iter().map(|g| g.label.unwrap()).collect();
+        let ce = tape.cross_entropy(out.logits, Arc::new(targets));
+        let con = crate::nt_xent(&mut tape, o1.projection, o2.projection, 0.5);
+        let weighted = tape.scale(con, 0.3);
+        let loss = tape.add(ce, weighted);
+        tape.backward(loss);
+        ctx.accumulate_grads(&tape, &mut store);
+        let got = crate::testutil::grad_digest(&store, tape.value(loss).item());
+        assert_eq!(got, 0xaafd_0a60_d95b_b30a, "GSG training-step gradient digest");
+    }
+
     #[test]
     fn training_separates_two_toy_classes() {
         // Class 0: chain topology with small values; class 1: star with a

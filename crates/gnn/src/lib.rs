@@ -26,6 +26,8 @@ mod dynamic;
 mod graphdata;
 mod hier;
 pub mod layers;
+#[cfg(test)]
+mod testutil;
 
 pub use augment::{augment, edge_drop_probs, AugmentConfig, AugmentedView};
 pub use batch::{GsgBatch, GsgItem, LdgBatch};
