@@ -128,6 +128,13 @@ impl GsgEncoder {
     /// segment ops (each pinned bit-identical to the per-graph chain it
     /// fuses — see the op docs on `Tape`), so no output row depends on what
     /// else shares the batch.
+    ///
+    /// Only `h` carries from one GAT layer into the next, and only the
+    /// three outputs leave the forward, so at each layer's end and at the
+    /// forward's end [`Tape::release_since`] hands the pool every value
+    /// recorded here that no backward arm reads (on a scoring tape, every
+    /// one): the next layer, or the next forward on the same tape (training
+    /// runs the batch and its two augmented views), draws those buffers.
     pub fn forward_batch_with_x(
         &self,
         tape: &mut Tape,
@@ -137,6 +144,7 @@ impl GsgEncoder {
         xv: Var,
     ) -> GsgOutput {
         let n_total = batch.n_total();
+        let mark = tape.len();
         let ef = tape.constant_copy(&batch.edge_feat);
 
         // Eq. 6 — alignment, fused across the whole batch.
@@ -154,6 +162,7 @@ impl GsgEncoder {
         for (l, gat) in self.gats.iter().enumerate() {
             let src_h = if l == 0 { Some(aligned_edges) } else { None };
             h = gat.forward(tape, ctx, store, h, src_h, &batch.src, &batch.dst, n_total);
+            tape.release_since(mark, &[h]);
         }
 
         // Eq. 10 — per-graph global max pooling, `(B, hidden)`.
@@ -193,6 +202,7 @@ impl GsgEncoder {
 
         let logits = self.head.forward(tape, ctx, store, combined);
         let projection = self.proj.forward(tape, ctx, store, combined);
+        tape.release_since(mark, &[combined, logits, projection]);
         GsgOutput { embedding: combined, logits, projection }
     }
 }
@@ -298,7 +308,7 @@ mod tests {
             value: 0.5 + i as f64,
             timestamp: 100 * i,
             fee: 0.001,
-            contract_call: i % 3 == 0,
+            contract_call: i.is_multiple_of(3),
         };
         let g = Subgraph::from_parts(
             (0..5).collect(),
@@ -344,6 +354,63 @@ mod tests {
         ctx.accumulate_grads(&tape, &mut store);
         let got = crate::testutil::grad_digest(&store, tape.value(loss).item());
         assert_eq!(got, 0xaafd_0a60_d95b_b30a, "GSG training-step gradient digest");
+    }
+
+    /// A training tape frees each GAT layer's and each forward's values
+    /// that its backward never reads, and the next forward on the tape
+    /// draws them. A GSG training step as the trainer runs it (the batch
+    /// and its two augmented views, cross-entropy plus NT-Xent, backward)
+    /// allocates under 2.16× what one forward with cross-entropy does;
+    /// 2.06× with the release, 2.26× when a training tape keeps every value.
+    #[test]
+    fn training_tape_frees_what_backward_never_reads() {
+        let ring = |n: usize, label: usize| {
+            let txs = (0..2 * n)
+                .map(|i| LocalTx {
+                    src: i % n,
+                    dst: if i < n { (i + 1) % n } else { (i * 7 + 3) % n },
+                    value: 1.0 + i as f64,
+                    timestamp: 10 * i as u64,
+                    fee: 0.001,
+                    contract_call: i.is_multiple_of(5),
+                })
+                .collect();
+            let ids = (0..n).collect();
+            let g = Subgraph::from_parts(ids, vec![AccountKind::Eoa; n], txs, Some(label));
+            GraphTensors::from_subgraph(&g, 3)
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let enc = GsgEncoder::new(&mut store, &mut rng, GsgConfig::default());
+        let graphs = [ring(40, 1), ring(31, 0), ring(23, 1)];
+        let views: Vec<_> = graphs
+            .iter()
+            .map(|g| {
+                let v1 = crate::augment(g, crate::AugmentConfig::view1(), &mut rng);
+                let v2 = crate::augment(g, crate::AugmentConfig::view2(), &mut rng);
+                (v1, v2)
+            })
+            .collect();
+        let allocated = |with_views: bool| {
+            let mut tape = Tape::with_pool(tensor::BufferPool::new());
+            let mut ctx = Ctx::new(&store);
+            let batch = GsgBatch::pack(graphs.iter().map(GsgItem::from));
+            let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
+            let targets = graphs.iter().map(|g| g.label.unwrap()).collect();
+            let mut loss = tape.cross_entropy(out.logits, Arc::new(targets));
+            if with_views {
+                let b1 = GsgBatch::pack(views.iter().map(|(v1, _)| GsgItem::from(v1)));
+                let o1 = enc.forward_batch(&mut tape, &mut ctx, &store, &b1);
+                let b2 = GsgBatch::pack(views.iter().map(|(_, v2)| GsgItem::from(v2)));
+                let o2 = enc.forward_batch(&mut tape, &mut ctx, &store, &b2);
+                let con = crate::nt_xent(&mut tape, o1.projection, o2.projection, 0.5);
+                loss = tape.add(loss, con);
+            }
+            tape.backward(loss);
+            tape.into_pool().stats().allocated_bytes
+        };
+        let (one, three) = (allocated(false), allocated(true));
+        assert!(three * 100 < one * 216, "three forwards allocated {three} B, one {one} B");
     }
 
     #[test]

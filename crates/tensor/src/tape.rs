@@ -27,12 +27,13 @@
 //! either fully zeroed or fully overwritten before use, so values are
 //! bit-identical to a fresh-allocation run.
 //!
-//! A scoring tape ([`Tape::scoring`]) records the same ops but never runs
-//! backward, so a value is dead once its last consumer has run. A caller
-//! that knows where a stage ends (the LDG encoder, at each time slice)
-//! hands that stage's dead values back with [`Tape::release_since`], and
-//! the next stage draws the same, still cache-warm buffers: the pool then
-//! holds about one stage's activations instead of the whole forward.
+//! A value is dead once its last forward consumer has run, unless a
+//! backward arm still reads it. A caller that knows where a stage ends (the
+//! LDG encoder at each time slice, the GSG encoder at each layer) hands
+//! that stage's dead values back with [`Tape::release_since`], and the next
+//! stage draws the same, still cache-warm buffers. A scoring tape
+//! ([`Tape::scoring`]) never runs backward, so its pool holds about one
+//! stage's activations; a training tape keeps only what backward reads.
 
 use crate::csr::Csr;
 use crate::exact;
@@ -288,8 +289,35 @@ enum Op {
     CrossEntropy(usize, Arc<Vec<usize>>),
 }
 
+/// A node's forward value, or only its shape once [`Tape::release_since`]
+/// has recycled its buffer. The shape outlives the buffer because the
+/// backward arms of the shape-only ops ([`Op::backward_reads`]) still ask
+/// for it; any read of the data goes through [`Value::get`] and panics.
+enum Value {
+    Live(Tensor),
+    Released(usize, usize),
+}
+
+impl Value {
+    /// The live tensor. Panics on a released value: its buffer now belongs
+    /// to the pool, so no result computed from it could be right.
+    fn get(&self) -> &Tensor {
+        match self {
+            Value::Live(t) => t,
+            Value::Released(r, c) => panic!("read of a released ({r}, {c}) tape value"),
+        }
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Value::Live(t) => t.shape(),
+            Value::Released(r, c) => (*r, *c),
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     grad: Option<Tensor>,
     op: Op,
     /// Whether any trainable leaf feeds this node. Backward skips gradient
@@ -297,7 +325,11 @@ struct Node {
     /// [`Tape::constant`]); for nodes where it is `true` the accumulated
     /// gradients are bit-identical with or without the pruning, because a
     /// pruned branch only ever *receives* gradient, never contributes any.
+    /// Never set on a scoring tape, which has no backward.
     requires: bool,
+    /// Whether the backward arm of some recorded op reads this value
+    /// ([`Op::backward_reads`]); [`Tape::release_since`] keeps it if so.
+    read_by_backward: bool,
 }
 
 /// A record of a forward computation, enabling reverse-mode differentiation.
@@ -305,8 +337,8 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: BufferPool,
-    /// Forward-only ([`Tape::scoring`]): `backward` refuses to run and
-    /// [`Tape::release_since`] recycles dead values.
+    /// Forward-only ([`Tape::scoring`]): `backward` refuses to run, and no
+    /// node requires a gradient, so no backward arm reads any value.
     scoring: bool,
 }
 
@@ -323,31 +355,41 @@ impl Tape {
 
     /// A forward-only tape that serves allocations from `pool`: the same
     /// ops, bit for bit, as [`Tape::with_pool`], but [`Tape::backward`]
-    /// panics and [`Tape::release_since`] returns dead values to the pool
-    /// mid-forward.
+    /// panics, so [`Tape::release_since`] may recycle every dead value.
     pub fn scoring(pool: BufferPool) -> Self {
         Self { nodes: Vec::new(), pool, scoring: true }
     }
 
-    /// On a scoring tape, give the pool the value of every node recorded at
-    /// or after `mark` (a [`Tape::len`] taken earlier) except the `keep`
-    /// vars and the leaves (parameter copies and constants). The caller
-    /// asserts that no later op reads a released value. A released node
-    /// holds an empty `0×0` tensor, so a read that breaks that promise sees
-    /// no data, never recycled data, and fails the first shape or index
-    /// check downstream.
-    /// Releasing a node twice is harmless. On a training tape, which still
-    /// needs every value for [`Tape::backward`], this does nothing.
+    /// Give the pool the value of every node recorded at or after `mark`
+    /// (a [`Tape::len`] taken earlier) that is not a leaf (parameter copies
+    /// and constants), not one of the `keep` vars, and not read by the
+    /// backward arm of any recorded op. The caller asserts that no later op
+    /// reads a released value; the `keep` vars are the ones later ops will
+    /// read.
+    ///
+    /// One rule serves both tape kinds. A training tape keeps exactly the
+    /// values some backward arm reads: each operand of a product whose
+    /// other operand takes a gradient, the input of `relu`, `leaky_relu`,
+    /// `segment_max_pool_rows` and the logits of `cross_entropy`, the
+    /// output of `tanh`, `sigmoid`, `softmax_rows` and `segment_softmax`,
+    /// and both for `elu` and `l2_normalize_rows`. A scoring tape has no
+    /// backward, so it releases those too. Values never change, only
+    /// buffers move, so outputs and gradients are bit-identical with or
+    /// without a release.
+    ///
+    /// A released node keeps its shape, which the shape-only backward arms
+    /// read, but no data: any read of it panics (on both tape kinds, for
+    /// every op), so it never sees recycled or missing data. Releasing a
+    /// node twice is harmless.
     pub fn release_since(&mut self, mark: usize, keep: &[Var]) {
-        if !self.scoring {
-            return;
-        }
         for (i, node) in self.nodes.iter_mut().enumerate().skip(mark) {
-            if matches!(node.op, Op::Leaf) || keep.contains(&Var(i)) {
+            if matches!(node.op, Op::Leaf) || node.read_by_backward || keep.contains(&Var(i)) {
                 continue;
             }
-            let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
-            self.pool.give(value.into_vec());
+            let (r, c) = node.value.shape();
+            if let Value::Live(t) = std::mem::replace(&mut node.value, Value::Released(r, c)) {
+                self.pool.give(t.into_vec());
+            }
         }
     }
 
@@ -357,7 +399,9 @@ impl Tape {
         let Tape { nodes, mut pool, .. } = self;
         pool.stats.tape_ops += nodes.len() as u64;
         for node in nodes {
-            pool.give(node.value.into_vec());
+            if let Value::Live(t) = node.value {
+                pool.give(t.into_vec());
+            }
             if let Some(g) = node.grad {
                 pool.give(g.into_vec());
             }
@@ -376,14 +420,25 @@ impl Tape {
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
         let requires = self.requires_of(&op);
-        self.nodes.push(Node { value, grad: None, op, requires });
+        let i = self.nodes.len();
+        let reads = op.backward_reads(i, |j| self.nodes[j].requires);
+        self.push_node(value, op, requires);
+        for j in reads.into_iter().flatten() {
+            self.nodes[j].read_by_backward = true;
+        }
+        Var(i)
+    }
+
+    fn push_node(&mut self, value: Tensor, op: Op, requires: bool) -> Var {
+        let value = Value::Live(value);
+        self.nodes.push(Node { value, grad: None, op, requires, read_by_backward: false });
         Var(self.nodes.len() - 1)
     }
 
     /// Whether a node recorded with `op` depends on any trainable leaf.
     fn requires_of(&self, op: &Op) -> bool {
         match op {
-            Op::Leaf => true,
+            Op::Leaf => !self.scoring,
             Op::Spmm(_, a)
             | Op::Scale(a, _)
             | Op::AddScalar(a)
@@ -435,21 +490,21 @@ impl Tape {
     /// bit-identical to what [`Tape::leaf`] would have produced — the pruned
     /// branches only ever receive gradient, never contribute to one.
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.nodes.push(Node { value, grad: None, op: Op::Leaf, requires: false });
-        Var(self.nodes.len() - 1)
+        self.push_node(value, Op::Leaf, false)
     }
 
     /// Insert a copy of `value` as a constant leaf, drawing the copy from
     /// the buffer pool. The constant analogue of [`Tape::leaf_copy`].
     pub fn constant_copy(&mut self, value: &Tensor) -> Var {
         let v = pooled_copy(&mut self.pool, value);
-        self.nodes.push(Node { value: v, grad: None, op: Op::Leaf, requires: false });
-        Var(self.nodes.len() - 1)
+        self.push_node(v, Op::Leaf, false)
     }
 
     /// Borrow the value of a node.
+    ///
+    /// Panics if [`Tape::release_since`] has released the node.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.nodes[v.0].value.get()
     }
 
     /// Borrow the gradient of a node, if [`Tape::backward`] reached it.
@@ -476,9 +531,9 @@ impl Tape {
 
     /// Matrix product `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (n, m) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
+        let (n, m) = (self.nodes[a.0].value.get().rows(), self.nodes[b.0].value.get().cols());
         let mut out = pooled_uninit(&mut self.pool, n, m);
-        self.nodes[a.0].value.matmul_into(&self.nodes[b.0].value, &mut out);
+        self.nodes[a.0].value.get().matmul_into(self.nodes[b.0].value.get(), &mut out);
         self.push(out, Op::Matmul(a.0, b.0))
     }
 
@@ -488,26 +543,30 @@ impl Tape {
     /// contract on [`Csr`] — but skips the adjacency's never-read gradient
     /// and never materialises the `(n, n)` matrix on the tape.
     pub fn spmm(&mut self, adj: &Arc<Csr>, h: Var) -> Var {
-        let mut out = pooled_uninit(&mut self.pool, adj.rows(), self.nodes[h.0].value.cols());
-        adj.matmul_dense_into(&self.nodes[h.0].value, &mut out);
+        let mut out = pooled_uninit(&mut self.pool, adj.rows(), self.nodes[h.0].value.get().cols());
+        adj.matmul_dense_into(self.nodes[h.0].value.get(), &mut out);
         self.push(out, Op::Spmm(Arc::clone(adj), h.0))
     }
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v =
-            pooled_zip(&mut self.pool, &self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| {
-                x + y
-            });
+        let v = pooled_zip(
+            &mut self.pool,
+            self.nodes[a.0].value.get(),
+            self.nodes[b.0].value.get(),
+            |x, y| x + y,
+        );
         self.push(v, Op::Add(a.0, b.0))
     }
 
     /// Elementwise (Hadamard) product `a ⊙ b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v =
-            pooled_zip(&mut self.pool, &self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| {
-                x * y
-            });
+        let v = pooled_zip(
+            &mut self.pool,
+            self.nodes[a.0].value.get(),
+            self.nodes[b.0].value.get(),
+            |x, y| x * y,
+        );
         self.push(v, Op::Mul(a.0, b.0))
     }
 
@@ -517,8 +576,8 @@ impl Tape {
         let (n, d) = self.nodes[a.0].value.shape();
         assert_eq!(self.nodes[b.0].value.shape(), (1, d), "add_row_broadcast shape");
         let mut v = pooled_uninit(&mut self.pool, n, d);
-        let at = &self.nodes[a.0].value;
-        let bt = &self.nodes[b.0].value;
+        let at = self.nodes[a.0].value.get();
+        let bt = self.nodes[b.0].value.get();
         for r in 0..n {
             for ((o, &x), &y) in v.row_mut(r).iter_mut().zip(at.row(r)).zip(bt.row(0)) {
                 *o = x + y;
@@ -533,8 +592,8 @@ impl Tape {
         let (n, d) = self.nodes[a.0].value.shape();
         assert_eq!(self.nodes[b.0].value.shape(), (n, 1), "mul_col_broadcast shape");
         let mut v = pooled_uninit(&mut self.pool, n, d);
-        let at = &self.nodes[a.0].value;
-        let bt = &self.nodes[b.0].value;
+        let at = self.nodes[a.0].value.get();
+        let bt = self.nodes[b.0].value.get();
         for r in 0..n {
             let s = bt.get(r, 0);
             for (o, &x) in v.row_mut(r).iter_mut().zip(at.row(r)) {
@@ -546,13 +605,13 @@ impl Tape {
 
     /// `c * a` for a constant scalar `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| c * x);
+        let v = pooled_map(&mut self.pool, self.nodes[a.0].value.get(), |x| c * x);
         self.push(v, Op::Scale(a.0, c))
     }
 
     /// `a + c` for a constant scalar `c`.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| x + c);
+        let v = pooled_map(&mut self.pool, self.nodes[a.0].value.get(), |x| x + c);
         self.push(v, Op::AddScalar(a.0))
     }
 
@@ -563,25 +622,20 @@ impl Tape {
     }
 
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v =
-            pooled_map(
-                &mut self.pool,
-                &self.nodes[a.0].value,
-                |x| {
-                    if x > 0.0 {
-                        x
-                    } else {
-                        slope * x
-                    }
-                },
-            );
+        let v = pooled_map(&mut self.pool, self.nodes[a.0].value.get(), |x| {
+            if x > 0.0 {
+                x
+            } else {
+                slope * x
+            }
+        });
         self.push(v, Op::LeakyRelu(a.0, slope))
     }
 
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
         // The backward pass reconstructs the slope from the stored output
         // (`y + α`).
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         let mut v = pooled_apply(&mut self.pool, x, exact::exp_in_place);
         for (o, &x) in v.data_mut().iter_mut().zip(x.data()) {
             *o = if x > 0.0 { x } else { alpha * (*o - 1.0) };
@@ -590,19 +644,19 @@ impl Tape {
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = pooled_map(&mut self.pool, &self.nodes[a.0].value, |x| x.max(0.0));
+        let v = pooled_map(&mut self.pool, self.nodes[a.0].value.get(), |x| x.max(0.0));
         self.push(v, Op::Relu(a.0))
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
         // glibc's tanhf bit-for-bit (the crate's own vectorised port).
         // Backward uses the stored output.
-        let v = pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::tanh_in_place);
+        let v = pooled_apply(&mut self.pool, self.nodes[a.0].value.get(), exact::tanh_in_place);
         self.push(v, Op::Tanh(a.0))
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = pooled_apply(&mut self.pool, &self.nodes[a.0].value, exact::sigmoid_in_place);
+        let v = pooled_apply(&mut self.pool, self.nodes[a.0].value.get(), exact::sigmoid_in_place);
         self.push(v, Op::Sigmoid(a.0))
     }
 
@@ -610,7 +664,7 @@ impl Tape {
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let (n, d) = self.nodes[a.0].value.shape();
         let mut v = pooled_uninit(&mut self.pool, n, d);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for r in 0..n {
             softmax_into(x.row(r), v.row_mut(r));
         }
@@ -618,17 +672,17 @@ impl Tape {
     }
 
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = pooled_transpose(&mut self.pool, &self.nodes[a.0].value);
+        let v = pooled_transpose(&mut self.pool, self.nodes[a.0].value.get());
         self.push(v, Op::Transpose(a.0))
     }
 
     /// Concatenate along columns: `(n, p) || (n, q) -> (n, p + q)`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let (n, p) = self.nodes[a.0].value.shape();
-        let q = self.nodes[b.0].value.cols();
-        assert_eq!(self.nodes[b.0].value.rows(), n, "concat_cols row mismatch");
+        let q = self.nodes[b.0].value.get().cols();
+        assert_eq!(self.nodes[b.0].value.get().rows(), n, "concat_cols row mismatch");
         let mut v = pooled_uninit(&mut self.pool, n, p + q);
-        let (x, y) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (x, y) = (self.nodes[a.0].value.get(), self.nodes[b.0].value.get());
         for r in 0..n {
             v.row_mut(r)[..p].copy_from_slice(x.row(r));
             v.row_mut(r)[p..].copy_from_slice(y.row(r));
@@ -639,10 +693,10 @@ impl Tape {
     /// Stack along rows: `(p, d)` over `(q, d)` -> `(p + q, d)`.
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
         let (p, d) = self.nodes[a.0].value.shape();
-        let q = self.nodes[b.0].value.rows();
-        assert_eq!(self.nodes[b.0].value.cols(), d, "concat_rows col mismatch");
+        let q = self.nodes[b.0].value.get().rows();
+        assert_eq!(self.nodes[b.0].value.get().cols(), d, "concat_rows col mismatch");
         let mut v = pooled_uninit(&mut self.pool, p + q, d);
-        let (x, y) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (x, y) = (self.nodes[a.0].value.get(), self.nodes[b.0].value.get());
         v.data_mut()[..p * d].copy_from_slice(x.data());
         v.data_mut()[p * d..].copy_from_slice(y.data());
         self.push(v, Op::ConcatRows(a.0, b.0))
@@ -651,9 +705,9 @@ impl Tape {
     /// Select rows of `a` by `idx` (indices may repeat — e.g. the source node
     /// of each edge in a message-passing step).
     pub fn gather_rows(&mut self, a: Var, idx: Arc<Vec<usize>>) -> Var {
-        let d = self.nodes[a.0].value.cols();
+        let d = self.nodes[a.0].value.get().cols();
         let mut v = pooled_uninit(&mut self.pool, idx.len(), d);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for (r, &i) in idx.iter().enumerate() {
             v.row_mut(r).copy_from_slice(x.row(i));
         }
@@ -666,7 +720,7 @@ impl Tape {
         let (n, d) = self.nodes[a.0].value.shape();
         assert_eq!(idx.len(), n, "scatter_add_rows index length");
         let mut v = pooled_zeros(&mut self.pool, n_out, d);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for r in 0..n {
             let dst = idx[r];
             assert!(dst < n_out, "scatter index {dst} out of bounds {n_out}");
@@ -681,11 +735,15 @@ impl Tape {
     /// equal `seg[r]` form one group. This normalises GAT attention scores
     /// over the in-neighbourhood of each destination node (Eq. 8).
     pub fn segment_softmax(&mut self, a: Var, seg: Arc<Vec<usize>>) -> Var {
-        let rows = self.nodes[a.0].value.rows();
-        assert_eq!(self.nodes[a.0].value.cols(), 1, "segment_softmax expects a column vector");
+        let rows = self.nodes[a.0].value.get().rows();
+        assert_eq!(
+            self.nodes[a.0].value.get().cols(),
+            1,
+            "segment_softmax expects a column vector"
+        );
         assert_eq!(seg.len(), rows, "segment length mismatch");
         let mut v = pooled_uninit(&mut self.pool, rows, 1);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         let n_seg = seg.iter().copied().max().map_or(0, |m| m + 1);
         let mut max = vec![f32::NEG_INFINITY; n_seg];
         for (r, &s) in seg.iter().enumerate() {
@@ -716,7 +774,7 @@ impl Tape {
         check_offsets(&offsets, n);
         let b = offsets.len() - 1;
         let mut v = pooled_full(&mut self.pool, b, d, f32::NEG_INFINITY);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for s in 0..b {
             for r in offsets[s]..offsets[s + 1] {
                 for c in 0..d {
@@ -737,7 +795,7 @@ impl Tape {
         check_offsets(&offsets, n);
         let b = offsets.len() - 1;
         let mut v = pooled_zeros(&mut self.pool, b, d);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for s in 0..b {
             let len = (offsets[s + 1] - offsets[s]) as f32;
             for r in offsets[s]..offsets[s + 1] {
@@ -762,7 +820,7 @@ impl Tape {
         check_offsets(&offsets, n);
         let b = offsets.len() - 1;
         let mut v = pooled_uninit(&mut self.pool, b * c, d);
-        let (mv, xv) = (self.nodes[m.0].value.data(), self.nodes[x.0].value.data());
+        let (mv, xv) = (self.nodes[m.0].value.get().data(), self.nodes[x.0].value.get().data());
         for s in 0..b {
             let (lo, hi) = (offsets[s], offsets[s + 1]);
             let out = &mut v.data_mut()[s * c * d..(s + 1) * c * d];
@@ -786,7 +844,7 @@ impl Tape {
             "seg_block_matmul needs (B·{c}, {c}) blocks, got {rows} rows"
         );
         let mut v = pooled_uninit(&mut self.pool, rows, d);
-        let (av, hv) = (self.nodes[a.0].value.data(), self.nodes[h.0].value.data());
+        let (av, hv) = (self.nodes[a.0].value.get().data(), self.nodes[h.0].value.get().data());
         for s in 0..rows / c {
             let (a_s, h_s) = (&av[s * c * c..(s + 1) * c * c], &hv[s * c * d..(s + 1) * c * d]);
             gemm_nn(c, c, d, a_s, h_s, &mut v.data_mut()[s * c * d..(s + 1) * c * d]);
@@ -796,7 +854,7 @@ impl Tape {
 
     /// Sum of all elements -> scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = pooled_full(&mut self.pool, 1, 1, self.nodes[a.0].value.sum());
+        let v = pooled_full(&mut self.pool, 1, 1, self.nodes[a.0].value.get().sum());
         self.push(v, Op::SumAll(a.0))
     }
 
@@ -804,7 +862,7 @@ impl Tape {
     pub fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
         let (n, d) = self.nodes[a.0].value.shape();
         let mut v = pooled_uninit(&mut self.pool, n, d);
-        let x = &self.nodes[a.0].value;
+        let x = self.nodes[a.0].value.get();
         for r in 0..n {
             let norm = x.row(r).iter().map(|&t| t * t).sum::<f32>().sqrt().max(eps);
             for (o, &t) in v.row_mut(r).iter_mut().zip(x.row(r)) {
@@ -816,7 +874,7 @@ impl Tape {
 
     /// Mean cross-entropy between row logits and integer targets -> scalar.
     pub fn cross_entropy(&mut self, logits: Var, targets: Arc<Vec<usize>>) -> Var {
-        let x = &self.nodes[logits.0].value;
+        let x = self.nodes[logits.0].value.get();
         let (n, d) = x.shape();
         assert_eq!(targets.len(), n, "cross_entropy target length");
         let mut loss = 0.0f32;
@@ -843,9 +901,56 @@ impl Tape {
         let xw = self.matmul(x, w);
         self.add_row_broadcast(xw, b)
     }
+}
 
-    // ---- backward -------------------------------------------------------
+// ---- backward -----------------------------------------------------------
 
+impl Op {
+    /// The nodes whose values this op's arm in [`Tape::backward`] reads, at
+    /// most two: inputs, or `out` (this op's own node) where the gradient is
+    /// a function of the output. `requires` says which inputs take a
+    /// gradient; no arm reads a value for an input that takes none. Every
+    /// other arm reads at most its inputs' shapes, which survive
+    /// [`Tape::release_since`].
+    ///
+    /// This is the release rule for both tape kinds, so it must match the
+    /// arms below exactly: an op added or an arm changed there declares its
+    /// reads here.
+    fn backward_reads(&self, out: usize, requires: impl Fn(usize) -> bool) -> [Option<usize>; 2] {
+        let when = |a: usize, v: usize| requires(a).then_some(v);
+        match *self {
+            // Each operand of a product feeds the other one's gradient.
+            Op::Matmul(a, b)
+            | Op::Mul(a, b)
+            | Op::MulColBroadcast(a, b)
+            | Op::SegMatmulTn(a, b, _)
+            | Op::SegBlockMatmul(a, b) => [when(b, a), when(a, b)],
+            Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::SegmentMaxPoolRows(a, _)
+            | Op::CrossEntropy(a, _) => [when(a, a), None],
+            Op::Tanh(a) | Op::Sigmoid(a) | Op::SoftmaxRows(a) | Op::SegmentSoftmax(a, _) => {
+                [when(a, out), None]
+            }
+            Op::Elu(a, _) | Op::L2NormalizeRows(a, _) => [when(a, a), when(a, out)],
+            Op::Leaf
+            | Op::Spmm(..)
+            | Op::Add(..)
+            | Op::AddRowBroadcast(..)
+            | Op::Scale(..)
+            | Op::AddScalar(_)
+            | Op::Transpose(_)
+            | Op::ConcatCols(..)
+            | Op::ConcatRows(..)
+            | Op::GatherRows(..)
+            | Op::ScatterAddRows(..)
+            | Op::SegmentMeanPoolRows(..)
+            | Op::SumAll(_) => [None, None],
+        }
+    }
+}
+
+impl Tape {
     fn acc_grad(&mut self, idx: usize, g: Tensor) {
         if !self.nodes[idx].requires {
             self.pool.give(g.into_vec());
@@ -894,7 +999,7 @@ impl Tape {
                 }
                 Op::Matmul(a, b) => {
                     if self.nodes[a].requires {
-                        let bt = pooled_transpose(&mut self.pool, &self.nodes[b].value);
+                        let bt = pooled_transpose(&mut self.pool, self.nodes[b].value.get());
                         let mut ga = pooled_uninit(&mut self.pool, g.rows(), bt.cols());
                         g.matmul_into(&bt, &mut ga);
                         self.pool.give(bt.into_vec());
@@ -903,9 +1008,12 @@ impl Tape {
                     if self.nodes[b].requires {
                         // gb = aᵀ @ g without materialising the transpose of
                         // the (tall) activation matrix.
-                        let mut gb =
-                            pooled_uninit(&mut self.pool, self.nodes[a].value.cols(), g.cols());
-                        self.nodes[a].value.matmul_tn_into(&g, &mut gb);
+                        let mut gb = pooled_uninit(
+                            &mut self.pool,
+                            self.nodes[a].value.get().cols(),
+                            g.cols(),
+                        );
+                        self.nodes[a].value.get().matmul_tn_into(&g, &mut gb);
                         self.acc_grad(b, gb);
                     }
                     self.pool.give(g.into_vec());
@@ -931,11 +1039,12 @@ impl Tape {
                 }
                 Op::Mul(a, b) => {
                     if self.nodes[a].requires {
-                        let ga = pooled_zip(&mut self.pool, &g, &self.nodes[b].value, |x, y| x * y);
+                        let ga =
+                            pooled_zip(&mut self.pool, &g, self.nodes[b].value.get(), |x, y| x * y);
                         self.acc_grad(a, ga);
                     }
                     if self.nodes[b].requires {
-                        g.zip_assign(&self.nodes[a].value, |x, y| x * y);
+                        g.zip_assign(self.nodes[a].value.get(), |x, y| x * y);
                     }
                     self.acc_grad(b, g);
                 }
@@ -957,7 +1066,7 @@ impl Tape {
                     if self.nodes[b].requires {
                         // Row dot products, columns ascending.
                         let mut gb = pooled_uninit(&mut self.pool, n, 1);
-                        let av = &self.nodes[a].value;
+                        let av = self.nodes[a].value.get();
                         for (r, o) in gb.data_mut().iter_mut().enumerate() {
                             *o = g
                                 .row(r)
@@ -968,7 +1077,7 @@ impl Tape {
                         self.acc_grad(b, gb);
                     }
                     if self.nodes[a].requires {
-                        let bv = &self.nodes[b].value;
+                        let bv = self.nodes[b].value.get();
                         for r in 0..n {
                             let s = bv.get(r, 0);
                             for x in g.row_mut(r) {
@@ -989,24 +1098,21 @@ impl Tape {
                 }
                 Op::LeakyRelu(a, slope) => {
                     if self.nodes[a].requires {
-                        g.zip_assign(
-                            &self.nodes[a].value,
-                            |gv, x| {
-                                if x > 0.0 {
-                                    gv
-                                } else {
-                                    gv * slope
-                                }
-                            },
-                        );
+                        g.zip_assign(self.nodes[a].value.get(), |gv, x| {
+                            if x > 0.0 {
+                                gv
+                            } else {
+                                gv * slope
+                            }
+                        });
                     }
                     self.acc_grad(a, g);
                 }
                 Op::Elu(a, alpha) => {
                     // dy/dx = 1 for x > 0, else y + alpha (since y = α(eˣ−1)).
                     if self.nodes[a].requires {
-                        let x = &self.nodes[a].value;
-                        let y = &self.nodes[i].value;
+                        let x = self.nodes[a].value.get();
+                        let y = self.nodes[i].value.get();
                         for ((gv, &xv), &yv) in g.data_mut().iter_mut().zip(x.data()).zip(y.data())
                         {
                             if xv <= 0.0 {
@@ -1018,26 +1124,29 @@ impl Tape {
                 }
                 Op::Relu(a) => {
                     if self.nodes[a].requires {
-                        g.zip_assign(&self.nodes[a].value, |gv, x| if x > 0.0 { gv } else { 0.0 });
+                        g.zip_assign(
+                            self.nodes[a].value.get(),
+                            |gv, x| if x > 0.0 { gv } else { 0.0 },
+                        );
                     }
                     self.acc_grad(a, g);
                 }
                 Op::Tanh(a) => {
                     if self.nodes[a].requires {
-                        g.zip_assign(&self.nodes[i].value, |gv, y| gv * (1.0 - y * y));
+                        g.zip_assign(self.nodes[i].value.get(), |gv, y| gv * (1.0 - y * y));
                     }
                     self.acc_grad(a, g);
                 }
                 Op::Sigmoid(a) => {
                     if self.nodes[a].requires {
-                        g.zip_assign(&self.nodes[i].value, |gv, y| gv * y * (1.0 - y));
+                        g.zip_assign(self.nodes[i].value.get(), |gv, y| gv * y * (1.0 - y));
                     }
                     self.acc_grad(a, g);
                 }
                 Op::SoftmaxRows(a) => {
                     if self.nodes[a].requires {
                         let n = g.rows();
-                        let y = &self.nodes[i].value;
+                        let y = self.nodes[i].value.get();
                         for r in 0..n {
                             let dot: f32 =
                                 g.row(r).iter().zip(y.row(r)).map(|(&gv, &yv)| gv * yv).sum();
@@ -1056,7 +1165,7 @@ impl Tape {
                     self.pool.give(g.into_vec());
                 }
                 Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a].value.cols();
+                    let ca = self.nodes[a].value.shape().1;
                     let (n, d) = g.shape();
                     if self.nodes[a].requires {
                         let mut ga = pooled_uninit(&mut self.pool, n, ca);
@@ -1075,7 +1184,7 @@ impl Tape {
                     self.pool.give(g.into_vec());
                 }
                 Op::ConcatRows(a, b) => {
-                    let ra = self.nodes[a].value.rows();
+                    let ra = self.nodes[a].value.shape().0;
                     let (n, d) = g.shape();
                     if self.nodes[a].requires {
                         let mut ga = pooled_uninit(&mut self.pool, ra, d);
@@ -1115,7 +1224,7 @@ impl Tape {
                 }
                 Op::SegmentSoftmax(a, seg) => {
                     if self.nodes[a].requires {
-                        let y = &self.nodes[i].value;
+                        let y = self.nodes[i].value.get();
                         let n_seg = seg.iter().copied().max().map_or(0, |m| m + 1);
                         let mut dot = vec![0.0f32; n_seg];
                         for (r, &s) in seg.iter().enumerate() {
@@ -1132,7 +1241,7 @@ impl Tape {
                     if self.nodes[a].requires {
                         let (n, d) = self.nodes[a].value.shape();
                         let mut ga = pooled_zeros(&mut self.pool, n, d);
-                        let x = &self.nodes[a].value;
+                        let x = self.nodes[a].value.get();
                         for s in 0..offsets.len() - 1 {
                             let (lo, hi) = (offsets[s], offsets[s + 1]);
                             for c in 0..d {
@@ -1168,7 +1277,7 @@ impl Tape {
                     self.pool.give(g.into_vec());
                 }
                 Op::SegMatmulTn(m, x, offsets) => {
-                    let (c, d) = (self.nodes[m].value.cols(), self.nodes[x].value.cols());
+                    let (c, d) = (self.nodes[m].value.shape().1, self.nodes[x].value.shape().1);
                     let n = *offsets.last().expect("offsets were checked non-empty");
                     if self.nodes[m].requires {
                         // dm_s = (g_s @ x_sᵀ)ᵀ: the per-graph tape's Matmul
@@ -1178,7 +1287,7 @@ impl Tape {
                         let mut xt = self.pool.take_any(d * longest);
                         let mut prod = self.pool.take_any(c * longest);
                         let mut gm = pooled_uninit(&mut self.pool, n, c);
-                        let xv = self.nodes[x].value.data();
+                        let xv = self.nodes[x].value.get().data();
                         for s in 0..offsets.len() - 1 {
                             let (lo, len) = (offsets[s], offsets[s + 1] - offsets[s]);
                             let g_s = &g.data()[s * c * d..(s + 1) * c * d];
@@ -1200,7 +1309,7 @@ impl Tape {
                         // dx_s = m_s @ g_s — the per-graph transpose node's
                         // `mtᵀ @ g`, whose zero skips are those of m.
                         let mut gx = pooled_uninit(&mut self.pool, n, d);
-                        let mv = self.nodes[m].value.data();
+                        let mv = self.nodes[m].value.get().data();
                         for s in 0..offsets.len() - 1 {
                             let (lo, hi) = (offsets[s], offsets[s + 1]);
                             let g_s = &g.data()[s * c * d..(s + 1) * c * d];
@@ -1213,13 +1322,13 @@ impl Tape {
                 }
                 Op::SegBlockMatmul(a, h) => {
                     let (rows, c) = self.nodes[a].value.shape();
-                    let d = self.nodes[h].value.cols();
+                    let d = self.nodes[h].value.shape().1;
                     if self.nodes[a].requires {
                         // da_s = g_s @ h_sᵀ — the per-graph Matmul backward's
                         // left product over the transposed right operand.
                         let mut ht = self.pool.take_any(d * c);
                         let mut ga = pooled_uninit(&mut self.pool, rows, c);
-                        let hv = self.nodes[h].value.data();
+                        let hv = self.nodes[h].value.get().data();
                         for s in 0..rows / c {
                             let blk = s * c * d..(s + 1) * c * d;
                             transpose_into(c, d, &hv[blk.clone()], &mut ht);
@@ -1232,7 +1341,7 @@ impl Tape {
                     if self.nodes[h].requires {
                         // dh_s = a_sᵀ @ g_s — the per-graph `aᵀ @ g`.
                         let mut gh = pooled_uninit(&mut self.pool, rows, d);
-                        let av = self.nodes[a].value.data();
+                        let av = self.nodes[a].value.get().data();
                         for s in 0..rows / c {
                             let (a_s, blk) =
                                 (&av[s * c * c..(s + 1) * c * c], s * c * d..(s + 1) * c * d);
@@ -1253,8 +1362,8 @@ impl Tape {
                 Op::L2NormalizeRows(a, eps) => {
                     if self.nodes[a].requires {
                         let (n, _d) = g.shape();
-                        let x = &self.nodes[a].value;
-                        let y = &self.nodes[i].value;
+                        let x = self.nodes[a].value.get();
+                        let y = self.nodes[i].value.get();
                         for r in 0..n {
                             let norm = x.row(r).iter().map(|&t| t * t).sum::<f32>().sqrt().max(eps);
                             let dot: f32 =
@@ -1271,7 +1380,7 @@ impl Tape {
                         let (n, d) = self.nodes[a].value.shape();
                         let scale = g.item() / n as f32;
                         let mut ga = pooled_uninit(&mut self.pool, n, d);
-                        let x = &self.nodes[a].value;
+                        let x = self.nodes[a].value.get();
                         for (r, &t) in targets.iter().enumerate() {
                             softmax_into(x.row(r), ga.row_mut(r));
                             for c in 0..d {
@@ -1397,30 +1506,36 @@ mod tests {
     }
 
     /// A small chain on either kind of tape: a parameter leaf, a constant,
-    /// and three interior nodes. Returns `(w, x, h, s)`; `s` is the chain's
-    /// output and the natural var to keep.
-    fn release_chain(tape: &mut Tape) -> (Var, Var, Var, Var) {
+    /// and three interior nodes. Returns `(w, x, xw, h, s)`; `s` is the
+    /// chain's output and the natural var to keep. A training tape's
+    /// backward reads `h` (the tanh output) and `s` (the softmax output)
+    /// but not `xw`.
+    fn release_chain(tape: &mut Tape) -> (Var, Var, Var, Var, Var) {
         let w = tape.leaf_copy(&Tensor::from_fn(3, 2, |r, c| 0.1 * (r * 2 + c) as f32 - 0.2));
         let x =
             tape.constant_copy(&Tensor::from_fn(4, 3, |r, c| (r as f32 - 1.0) * 0.7 + c as f32));
-        let h = tape.matmul(x, w);
-        let h = tape.tanh(h);
+        let xw = tape.matmul(x, w);
+        let h = tape.tanh(xw);
         let s = tape.softmax_rows(h);
-        (w, x, h, s)
+        (w, x, xw, h, s)
+    }
+
+    fn is_released(tape: &Tape, v: Var, shape: (usize, usize)) -> bool {
+        matches!(tape.nodes[v.0].value, Value::Released(r, c) if (r, c) == shape)
     }
 
     #[test]
     fn release_since_recycles_dead_values_and_keeps_the_rest() {
         let mut plain = Tape::with_pool(BufferPool::new());
-        let (w0, x0, _, s0) = release_chain(&mut plain);
+        let (w0, x0, _, _, s0) = release_chain(&mut plain);
         let mut tape = Tape::scoring(BufferPool::new());
-        let (w, x, h, s) = release_chain(&mut tape);
+        let (w, x, xw, h, s) = release_chain(&mut tape);
         let parked = tape.pool.buffers();
         tape.release_since(0, &[s]);
-        // The matmul and tanh outputs went back; the kept output and both
-        // leaves are untouched.
+        // The matmul and tanh outputs went back, keeping their shapes; the
+        // kept output and both leaves are untouched.
         assert_eq!(tape.pool.buffers(), parked + 2, "two dead values recycled");
-        assert_eq!(tape.value(h).shape(), (0, 0), "a released node holds nothing");
+        assert!(is_released(&tape, xw, (4, 2)) && is_released(&tape, h, (4, 2)));
         assert_eq!(tape.value(s).to_bits_vec(), plain.value(s0).to_bits_vec());
         assert_eq!(tape.value(w).to_bits_vec(), plain.value(w0).to_bits_vec());
         assert_eq!(tape.value(x).to_bits_vec(), plain.value(x0).to_bits_vec());
@@ -1431,41 +1546,142 @@ mod tests {
         let mark = tape.len();
         let t = tape.tanh(s);
         tape.release_since(mark, &[]);
-        assert_eq!(tape.value(t).shape(), (0, 0));
+        assert!(is_released(&tape, t, (4, 2)));
         assert_eq!(tape.value(s).to_bits_vec(), plain.value(s0).to_bits_vec());
     }
 
-    #[test]
-    fn release_since_is_a_no_op_on_a_training_tape() {
-        let mut tape = Tape::with_pool(BufferPool::new());
-        let (w, _, h, s) = release_chain(&mut tape);
-        let before = tape.value(h).to_bits_vec();
-        let parked = tape.pool.buffers();
-        tape.release_since(0, &[s]);
-        assert_eq!(tape.pool.buffers(), parked);
-        assert_eq!(tape.value(h).to_bits_vec(), before);
-        // Backward still runs over every value.
-        let loss = tape.sum_all(s);
-        tape.backward(loss);
-        assert!(tape.grad(w).is_some());
+    /// Records every [`Op`] variant on `tape` and returns the scalar loss
+    /// and the parameter leaves. Where it can, each value a backward arm
+    /// reads feeds only ops that read nothing, so a read missing from
+    /// [`Op::backward_reads`] lets that value go and the backward that
+    /// needs it panics.
+    fn every_op_chain(tape: &mut Tape) -> (Var, Vec<Var>) {
+        let x = tape.constant_copy(&seg_fixture(6, 4, 1));
+        let mask = tape.constant_copy(&seg_fixture(6, 3, 2));
+        let adj = Arc::new(Csr::from_dense(&seg_fixture(6, 6, 3)));
+        let [w, bias, col, w2, v] = [(4, 3), (1, 3), (6, 1), (6, 3), (6, 1)]
+            .map(|(r, c)| tape.leaf_copy(&seg_fixture(r, c, 10 + r as u32 + c as u32)));
+        // A constant-only subtree: a product reads its operand only for
+        // the other side's gradient.
+        let xs = tape.tanh(x);
+        let h = tape.matmul(xs, w);
+        let h = tape.add_row_broadcast(h, bias);
+        let r = tape.relu(h);
+        let lr = tape.leaky_relu(h, 0.1);
+        let e = tape.elu(lr, 1.0);
+        let e = tape.add_scalar(e, 0.0);
+        let t = tape.tanh(r);
+        let t = tape.scale(t, 1.5);
+        let sg = tape.sigmoid(e);
+        let sg = tape.scale(sg, 2.0);
+        let m = tape.mul(t, sg);
+        let m = tape.mul(m, mask);
+        let a = tape.add(m, r);
+        let one_minus = tape.one_minus(a);
+        let mc = tape.mul_col_broadcast(one_minus, col);
+        let sm = tape.softmax_rows(mc);
+        let sm = tape.add_scalar(sm, 0.0);
+        let tr = tape.transpose(sm);
+        let p = tape.matmul(tr, w2);
+        let sb = tape.seg_block_matmul(p, tr);
+        let cc = tape.concat_cols(sm, sg);
+        let g = tape.gather_rows(cc, Arc::new(vec![0, 2, 2, 5]));
+        let sa = tape.scatter_add_rows(g, Arc::new(vec![1, 0, 1, 3]), 6);
+        let sa = tape.add_scalar(sa, 0.5);
+        let offsets = Arc::new(vec![0, 2, 6]);
+        let max = tape.segment_max_pool_rows(sa, offsets.clone());
+        let mean = tape.segment_mean_pool_rows(sa, offsets.clone());
+        let cr = tape.concat_rows(max, mean);
+        let l2 = tape.l2_normalize_rows(cr, 1e-6);
+        let l2 = tape.scale(l2, 3.0);
+        let ce = tape.cross_entropy(l2, Arc::new(vec![0, 3, 5, 1]));
+        let smx = tape.seg_matmul_tn(sm, cc, offsets);
+        let scores = tape.matmul(sa, v);
+        let ss = tape.segment_softmax(scores, Arc::new(vec![0, 0, 1, 1, 1, 1]));
+        let ss = tape.scale(ss, 1.0);
+        let sp = tape.spmm(&adj, sm);
+        let mut loss = ce;
+        for part in [smx, sb, ss, sp] {
+            let sum = tape.sum_all(part);
+            loss = tape.add(loss, sum);
+        }
+        (loss, vec![w, bias, col, w2, v])
     }
 
+    /// The release rule on a training tape: release everything it allows,
+    /// then backpropagate. Every gradient must be bit-equal to an identical
+    /// twin tape that released nothing; a backward read of a released
+    /// value panics.
     #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn an_op_consuming_a_released_value_panics() {
+    fn release_since_keeps_exactly_what_backward_reads() {
+        let mut twin = Tape::with_pool(BufferPool::new());
+        let (loss0, leaves0) = every_op_chain(&mut twin);
+        twin.backward(loss0);
+
+        let mut tape = Tape::with_pool(BufferPool::new());
+        let (loss, leaves) = every_op_chain(&mut tape);
+        let parked = tape.pool.buffers();
+        tape.release_since(0, &[]);
+        let released = tape.nodes.iter().filter(|n| matches!(n.value, Value::Released(..))).count();
+        assert_eq!(tape.pool.buffers(), parked + released);
+        assert!(released >= 20, "only {released} of {} values released", tape.len());
+        tape.backward(loss);
+        for (i, (&v, &v0)) in leaves.iter().zip(&leaves0).enumerate() {
+            let got = tape.grad(v).expect("leaf gradient").to_bits_vec();
+            assert_eq!(got, twin.grad(v0).unwrap().to_bits_vec(), "leaf {i} gradient moved");
+        }
+
+        // A scoring tape has no backward and releases every non-leaf.
         let mut tape = Tape::scoring(BufferPool::new());
-        let (w, _, h, s) = release_chain(&mut tape);
+        every_op_chain(&mut tape);
+        tape.release_since(0, &[]);
+        assert!(tape
+            .nodes
+            .iter()
+            .all(|n| matches!(n.op, Op::Leaf) ^ matches!(n.value, Value::Released(..))));
+    }
+
+    /// Any read of a released value's data panics, on both tape kinds and
+    /// for a GEMM and an elementwise consumer alike: no op ever sees a
+    /// missing buffer as a short or empty one.
+    #[test]
+    #[should_panic(expected = "read of a released (4, 2) tape value")]
+    fn an_op_consuming_a_released_value_panics() {
+        type Consume = fn(&mut Tape, Var, Var);
+        let consumers: [(&str, Consume); 2] = [
+            ("matmul", |t, xw, w| {
+                let wt = t.transpose(w);
+                t.matmul(xw, wt);
+            }),
+            ("add", |t, xw, _| {
+                t.add(xw, xw);
+            }),
+        ];
+        for scoring in [true, false] {
+            for (what, consume) in consumers {
+                let pool = BufferPool::new();
+                let mut tape = if scoring { Tape::scoring(pool) } else { Tape::with_pool(pool) };
+                let (w, _, xw, _, s) = release_chain(&mut tape);
+                tape.release_since(0, &[s]);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    consume(&mut tape, xw, w)
+                }));
+                let msg = caught.expect_err(what).downcast::<String>().unwrap();
+                assert!(msg.starts_with("read of a released"), "{what}, scoring {scoring}: {msg}");
+            }
+        }
+        // The same read, uncaught, on a training tape.
+        let mut tape = Tape::with_pool(BufferPool::new());
+        let (_, _, xw, _, s) = release_chain(&mut tape);
         tape.release_since(0, &[s]);
-        // `h` is (4, 2) live; released it is (0, 0) and cannot meet `wᵀ`.
-        let wt = tape.transpose(w);
-        tape.matmul(h, wt);
+        tape.tanh(xw);
     }
 
     #[test]
     #[should_panic(expected = "forward-only scoring tape")]
     fn backward_on_a_scoring_tape_panics() {
         let mut tape = Tape::scoring(BufferPool::new());
-        let (_, _, _, s) = release_chain(&mut tape);
+        let (.., s) = release_chain(&mut tape);
         let loss = tape.sum_all(s);
         tape.backward(loss);
     }
