@@ -1551,10 +1551,10 @@ mod tests {
     }
 
     /// Records every [`Op`] variant on `tape` and returns the scalar loss
-    /// and the parameter leaves. Where it can, each value a backward arm
-    /// reads feeds only ops that read nothing, so a read missing from
-    /// [`Op::backward_reads`] lets that value go and the backward that
-    /// needs it panics.
+    /// and the parameter leaves. Each value a backward arm reads is read by
+    /// that arm alone (other consumers read nothing), so any one read
+    /// missing from [`Op::backward_reads`] lets that value go and the
+    /// backward that needs it panics.
     fn every_op_chain(tape: &mut Tape) -> (Var, Vec<Var>) {
         let x = tape.constant_copy(&seg_fixture(6, 4, 1));
         let mask = tape.constant_copy(&seg_fixture(6, 3, 2));
@@ -1566,8 +1566,9 @@ mod tests {
         let xs = tape.tanh(x);
         let h = tape.matmul(xs, w);
         let h = tape.add_row_broadcast(h, bias);
+        let h2 = tape.add_scalar(h, 0.0);
         let r = tape.relu(h);
-        let lr = tape.leaky_relu(h, 0.1);
+        let lr = tape.leaky_relu(h2, 0.1);
         let e = tape.elu(lr, 1.0);
         let e = tape.add_scalar(e, 0.0);
         let t = tape.tanh(r);
@@ -1578,12 +1579,15 @@ mod tests {
         let m = tape.mul(m, mask);
         let a = tape.add(m, r);
         let one_minus = tape.one_minus(a);
-        let mc = tape.mul_col_broadcast(one_minus, col);
+        let colv = tape.scale(col, 1.0);
+        let mc = tape.mul_col_broadcast(one_minus, colv);
         let sm = tape.softmax_rows(mc);
         let sm = tape.add_scalar(sm, 0.0);
         let tr = tape.transpose(sm);
-        let p = tape.matmul(tr, w2);
-        let sb = tape.seg_block_matmul(p, tr);
+        let w2v = tape.add_scalar(w2, 0.0);
+        let p = tape.matmul(tr, w2v);
+        let tr2 = tape.transpose(sm);
+        let sb = tape.seg_block_matmul(p, tr2);
         let cc = tape.concat_cols(sm, sg);
         let g = tape.gather_rows(cc, Arc::new(vec![0, 2, 2, 5]));
         let sa = tape.scatter_add_rows(g, Arc::new(vec![1, 0, 1, 3]), 6);
@@ -1596,7 +1600,8 @@ mod tests {
         let l2 = tape.scale(l2, 3.0);
         let ce = tape.cross_entropy(l2, Arc::new(vec![0, 3, 5, 1]));
         let smx = tape.seg_matmul_tn(sm, cc, offsets);
-        let scores = tape.matmul(sa, v);
+        let sa2 = tape.add_scalar(sa, 0.0);
+        let scores = tape.matmul(sa2, v);
         let ss = tape.segment_softmax(scores, Arc::new(vec![0, 0, 1, 1, 1, 1]));
         let ss = tape.scale(ss, 1.0);
         let sp = tape.spmm(&adj, sm);
