@@ -270,8 +270,9 @@ fn gemm_operand(rows: usize, cols: usize, zero_pct: u32, salt: u32) -> Tensor {
 }
 
 /// The Strict GEMM kernels at the shapes the models run: contraction 64
-/// (the GSG/LDG hidden width), output widths 4/8/12 (DiffPool's assignment
-/// columns, padded tails), 16/32 (`Dbg4EthConfig::fast()`) and 64, over
+/// (the GSG/LDG hidden width), output widths 1 (the GAT and attention
+/// scores, output rows in vector lanes), 4/8/12 (DiffPool's assignment
+/// columns, masked tails), 16/32 (`Dbg4EthConfig::fast()`) and 64, over
 /// 30 (a small account), 94 (the mean account) and 1311 (a packed
 /// mini-batch) rows, on a left operand with no exact zeros, 5 % and 60 %:
 /// one case on each side of each choice the kernels make from zero counts
@@ -281,7 +282,7 @@ fn gemm_operand(rows: usize, cols: usize, zero_pct: u32, salt: u32) -> Tensor {
 /// (`Tensor::matmul_tn_into`, the weight gradient `aᵀ @ g`).
 fn bench_gemm(c: &mut Criterion) {
     const K: usize = 64;
-    for n in [4, 8, 12, 16, 32, 64] {
+    for n in [1, 4, 8, 12, 16, 32, 64] {
         for rows in [30, 94, 1311] {
             for zero_pct in [0, 5, 60] {
                 // A branch predictor memorises the zero pattern of a small

@@ -330,377 +330,21 @@ pub(crate) fn tile_axpy_nonzero(c: &mut [f32; MM_JT], x: f32, b: &[f32]) {
     }
 }
 
-/// Contraction indices per pass of the GEMM kernels. A chunk's nonzero
-/// positions fit a `u8`, so the index scratch is a few hundred bytes on the
-/// stack; the `b` rows of one chunk (`256 · n · 4` bytes, 64 KiB at
-/// `n = 64`) stay cache-resident while every output group sweeps them.
-const CHUNK: usize = 256;
-
-/// Capacity of one group member's position list: a chunk plus the eight
-/// lanes [`nonzero_positions`] may write past the last kept position.
-const NZ_CAP: usize = CHUNK + 8;
-
-/// Column width of the one-row tiles [`sparse_group`] runs on outputs at
-/// least this wide: eight vector accumulators, so one row alone has enough
-/// independent chains, and one index lookup feeds eight `b` vectors. On
-/// the `kernels` bench's 60 %-zero `gemm/{nn,tn}/n64` cases they take
-/// 0.65–0.72× the time of four-row 16-wide tiles over the same lists.
-const WIDE: usize = 4 * MM_JT;
-
-/// Ascending bit positions of every byte value, packed one per byte of a
-/// little-endian `u64`: the left-pack table of [`nonzero_positions`].
-const LEFT_PACK: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut mask = 0;
-    while mask < 256 {
-        let (mut word, mut slot, mut bit) = (0u64, 0, 0);
-        while bit < 8 {
-            if mask & (1 << bit) != 0 {
-                word |= (bit as u64) << (8 * slot);
-                slot += 1;
-            }
-            bit += 1;
-        }
-        table[mask] = word;
-        mask += 1;
-    }
-    table
-};
-
-/// Write the positions of `x`'s entries that are not exact zeros (NaN
-/// included, ±0.0 excluded) into `pos`, ascending, and return their count.
-/// Branch-free: eight entries become a byte mask, the mask selects their
-/// packed positions from [`LEFT_PACK`], and all eight bytes are stored while
-/// the count advances only by the kept ones — so the cost does not depend on
-/// where the zeros are. `x.len()` is at most [`CHUNK`].
-fn nonzero_positions(x: &[f32], pos: &mut [u8; NZ_CAP]) -> usize {
-    debug_assert!(x.len() <= CHUNK);
-    let mut len = 0;
-    let mut base = 0u64;
-    let mut eights = x.chunks_exact(8);
-    for e in &mut eights {
-        let mut mask = 0;
-        for (t, &v) in e.iter().enumerate() {
-            mask |= usize::from(v != 0.0) << t;
-        }
-        let packed = LEFT_PACK[mask] + base * 0x0101_0101_0101_0101;
-        pos[len..len + 8].copy_from_slice(&packed.to_le_bytes());
-        len += mask.count_ones() as usize;
-        base += 8;
-    }
-    for (t, &v) in eights.remainder().iter().enumerate() {
-        pos[len] = (base as usize + t) as u8;
-        len += usize::from(v != 0.0);
-    }
-    len
-}
-
-/// Number of exact zeros (±0.0) in `x`: a vectorised count, a fraction of
-/// the multiply-adds of the rows it sizes up.
-#[inline]
-fn zero_count(x: &[f32]) -> usize {
-    x.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as usize
-}
-
-/// A group of left-operand entries goes through the compacted path when
-/// more than `1 / COMPACT_ABOVE` of them are exact zeros, and through the
-/// shared-load [`strict_tile`] otherwise. Measured on the `kernels`
-/// bench's `gemm/` cases, run also at 3, 10, 20 and 30 % zeros with each
-/// path forced in turn, the compacted path against the per-entry-branch
-/// tile on the same operands takes 1.4–2.1× as long at 3 % zeros and
-/// widths ≤ 32 (0.8–1.1× at 64), 0.8–1.2× at 10 % (94 and 1311 rows),
-/// 0.4–0.9× at 20 % and 0.2–0.4× at 60 %. A zero-free group runs the tile
-/// without its zero test.
-const COMPACT_ABOVE: usize = 8;
-
-/// Whether `zeros` exact zeros among `entries` send a group to the
-/// compacted path (see [`COMPACT_ABOVE`]).
-#[inline]
-fn compacts(zeros: usize, entries: usize) -> bool {
-    zeros * COMPACT_ABOVE > entries
-}
-
-/// Run `f(r, row)` on each row of a register tile (at most four), every
-/// index a constant after inlining: a loop over `r` that the compiler
-/// leaves rolled would index the tile at run time and keep it in memory.
-#[inline(always)]
-fn each_row<const R: usize, const W: usize>(
-    acc: &mut [[f32; W]; R],
-    mut f: impl FnMut(usize, &mut [f32; W]),
-) {
-    const { assert!(R <= 4) };
-    if let Some(c) = acc.get_mut(0) {
-        f(0, c);
-    }
-    if let Some(c) = acc.get_mut(1) {
-        f(1, c);
-    }
-    if let Some(c) = acc.get_mut(2) {
-        f(2, c);
-    }
-    if let Some(c) = acc.get_mut(3) {
-        f(3, c);
-    }
-}
-
-/// `c[r] += x[r] · b(p)` for every `p` of `0..len` with `x[r]` not an exact
-/// zero: the shared-load tile, where one `b` load feeds all `R` rows. With
-/// `ZEROS` it tests each entry for zero, which costs little while the
-/// groups it runs hold few zeros (see [`COMPACT_ABOVE`]); without, the
-/// caller has counted none. The untested form pays for itself: sending
-/// every zero-free group through the tested one, whose all-nonzero arm
-/// still tests the `R` entries of each `p`, makes the `kernels` bench's
-/// dense `gemm/nn` cases take 1.16–1.34× as long (1.1–1.4× with the `R`
-/// tests folded into one vector compare).
-#[inline(always)]
-fn strict_tile<'b, const R: usize, const ZEROS: bool>(
-    c: &mut [[f32; MM_JT]; R],
-    len: usize,
-    x: impl Fn(usize) -> [f32; R],
-    b: impl Fn(usize) -> &'b [f32; MM_JT],
-) {
-    // Accumulate in a local so the partial sums stay in registers: `c`
-    // itself would have to be kept current in memory at every bounds check
-    // that could unwind.
-    let mut acc = *c;
-    for p in 0..len {
-        let (x, b) = (x(p), b(p));
-        let axpy = |c: &mut [f32; MM_JT], x: f32| {
-            for t in 0..MM_JT {
-                c[t] += x * b[t];
-            }
-        };
-        if !ZEROS || x.iter().all(|&v| v != 0.0) {
-            each_row(&mut acc, |r, c| axpy(c, x[r]));
-        } else {
-            each_row(&mut acc, |r, c| {
-                if x[r] != 0.0 {
-                    axpy(c, x[r]);
-                }
-            });
-        }
-    }
-    *c = acc;
-}
-
-/// `c[r] += vals[r][p] · b(p)` for the listed positions `p` of `pos[r]`
-/// only, in list (ascending) order. The `R` rows advance in lockstep over
-/// their common length, so `R` independent accumulator chains hide the add
-/// latency; each row then finishes its own list.
-#[allow(clippy::needless_range_loop)] // q indexes every row's list
-#[inline(always)]
-fn sparse_tile<'b, const R: usize, const W: usize>(
-    c: &mut [[f32; W]; R],
-    vals: &[&[f32]; R],
-    pos: &[&[u8]; R],
-    b: impl Fn(usize) -> &'b [f32; W],
-) {
-    let common = pos.iter().map(|l| l.len()).min().unwrap_or(0);
-    let mut acc = *c; // in registers, as in `strict_tile`
-    let axpy = |c: &mut [f32; W], r: usize, p: u8| {
-        let p = usize::from(p);
-        let (x, b) = (vals[r][p], b(p));
-        for t in 0..W {
-            c[t] += x * b[t];
-        }
-    };
-    for q in 0..common {
-        each_row(&mut acc, |r, c| axpy(c, r, pos[r][q]));
-    }
-    each_row(&mut acc, |r, c| {
-        for &p in &pos[r][common..] {
-            axpy(c, r, p);
-        }
-    });
-    *c = acc;
-}
-
-/// One contraction chunk of a GEMM pass, with its `b` operand.
-struct Chunk<'t> {
-    /// First contraction index of the chunk (0: accumulators start at zero).
-    p0: usize,
-    /// Contraction indices in the chunk.
-    len: usize,
-    /// The whole right operand, row stride `n`.
-    b: &'t [f32],
-    n: usize,
-    /// `b`'s padded tail columns over the chunk's rows ([`pack_tail`]).
-    tail: &'t [f32],
-}
-
-impl Chunk<'_> {
-    /// `b`'s `W` columns from `j` at the chunk's row `p`.
-    #[inline(always)]
-    fn b_tile<const W: usize>(&self, p: usize, j: usize) -> &[f32; W] {
-        self.b[(self.p0 + p) * self.n + j..][..W].try_into().expect("tile width")
-    }
-
-    /// The padded tail columns at the chunk's row `p`.
-    #[inline(always)]
-    fn tail_tile(&self, p: usize) -> &[f32; MM_JT] {
-        self.tail[p * MM_JT..][..MM_JT].try_into().expect("tile width")
-    }
-}
-
-/// Run `tile(acc, j)` over the `W`-wide column tiles from `j` in `cols`
-/// of the `R` output rows in `out` (row stride `n`). The accumulators
-/// start at zero on the first contraction chunk and at `out`'s running
-/// sums after it, and are stored back after the tile; a round trip through
-/// memory is exact, so chunking never changes a bit. Only a last tile at
-/// `n` can be narrower than `W`; the caller's tile reads it from
-/// [`Chunk::tail_tile`].
-#[inline(always)]
-fn sweep_columns<const R: usize, const W: usize>(
-    out: &mut [f32],
-    n: usize,
-    cols: std::ops::Range<usize>,
-    first: bool,
-    mut tile: impl FnMut(&mut [[f32; W]; R], usize),
-) {
-    let mut j = cols.start;
-    while j < cols.end {
-        let w = (cols.end - j).min(W);
-        let mut c = [[0.0f32; W]; R];
-        if !first {
-            for (r, c) in c.iter_mut().enumerate() {
-                c[..w].copy_from_slice(&out[r * n + j..][..w]);
-            }
-        }
-        tile(&mut c, j);
-        for (r, c) in c.iter().enumerate() {
-            out[r * n + j..][..w].copy_from_slice(&c[..w]);
-        }
-        j += W;
-    }
-}
-
-/// Rows `rows` of `b`'s columns past the last whole tile (fewer than
-/// [`MM_JT`] of them), each zero-padded to a whole register tile, into
-/// `tail`: the `b` operand of the narrow last tile, packed once per chunk
-/// so the tile loop reads whole vectors. The padding lanes only ever meet
-/// accumulator lanes that are discarded.
-fn pack_tail(tail: &mut [f32], b: &[f32], n: usize, rows: std::ops::Range<usize>) {
-    let j = n - n % MM_JT;
-    for (dst, p) in tail.chunks_exact_mut(MM_JT).zip(rows) {
-        dst[..n - j].copy_from_slice(&b[p * n + j..(p + 1) * n]);
-    }
-}
-
-/// `R` output rows over one chunk, their left values `vals[r][p]` given
-/// contiguously: [`sparse_group`] if [`compacts`] says so, else
-/// [`tile_group`].
-#[inline(always)]
-fn group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) {
-    let zeros = vals.iter().map(|v| zero_count(v)).sum();
-    if compacts(zeros, R * ch.len) {
-        sparse_group(ch, out, vals);
-    } else {
-        tile_group::<R>(ch, out, zeros > 0, |p| std::array::from_fn(|r| vals[r][p]));
-    }
-}
-
-/// `R` output rows over one chunk through the shared-load [`strict_tile`],
-/// `x(p)` giving the `R` left values at `p`; the tile tests entries for
-/// zero only when the group `has_zeros`.
-#[inline(never)]
-fn tile_group<const R: usize>(
-    ch: &Chunk,
-    out: &mut [f32],
-    has_zeros: bool,
-    x: impl Fn(usize) -> [f32; R] + Copy,
-) {
-    sweep_columns::<R, MM_JT>(out, ch.n, 0..ch.n, ch.p0 == 0, |c, j| {
-        match (has_zeros, j + MM_JT <= ch.n) {
-            (false, true) => strict_tile::<R, false>(c, ch.len, x, |p| ch.b_tile(p, j)),
-            (false, false) => strict_tile::<R, false>(c, ch.len, x, |p| ch.tail_tile(p)),
-            (true, true) => strict_tile::<R, true>(c, ch.len, x, |p| ch.b_tile(p, j)),
-            (true, false) => strict_tile::<R, true>(c, ch.len, x, |p| ch.tail_tile(p)),
-        }
-    });
-}
-
-/// `R` output rows over one chunk that skip zeros: each row's nonzero
-/// positions are compacted once, then every column tile multiplies only
-/// those — one row at a time in [`WIDE`] tiles where the output is that
-/// wide, the remaining columns in `R`-row [`MM_JT`] tiles.
-#[inline(never)]
-fn sparse_group<const R: usize>(ch: &Chunk, out: &mut [f32], vals: [&[f32]; R]) {
-    let mut pos = [[0u8; NZ_CAP]; R];
-    let cnt: [usize; R] = std::array::from_fn(|r| nonzero_positions(vals[r], &mut pos[r]));
-    let lists: [&[u8]; R] = std::array::from_fn(|r| &pos[r][..cnt[r]]);
-    let n = ch.n;
-    let wide_end = n - n % WIDE;
-    if wide_end > 0 {
-        for (r, row) in out.chunks_exact_mut(n).enumerate() {
-            sweep_columns::<1, WIDE>(row, n, 0..wide_end, ch.p0 == 0, |c, j| {
-                sparse_tile(c, &[vals[r]], &[lists[r]], |p| ch.b_tile(p, j));
-            });
-        }
-    }
-    sweep_columns::<R, MM_JT>(out, n, wide_end..n, ch.p0 == 0, |c, j| {
-        if j + MM_JT <= n {
-            sparse_tile(c, &vals, &lists, |p| ch.b_tile(p, j));
-        } else {
-            sparse_tile(c, &vals, &lists, |p| ch.tail_tile(p));
-        }
-    });
-}
-
 /// The Strict product `out = a @ b` on row-major slices: `a` is `m × k`,
 /// `b` is `k × n`, `out` is `m × n` and overwritten. Every output element
 /// receives `+= a[i][p] · b[p][j]` with `p` ascending from zero, exact
-/// zeros (±0.0) of `a` skipped — the scalar ikj loop's sequence, bit for
-/// bit.
+/// zeros (±0.0) of `a` skipped — the scalar ikj loop's sequence
+/// ([`gemm_reference`]), bit for bit.
 ///
-/// Output rows go in groups of four (then singly), over the contraction in
-/// [`CHUNK`]s, in register tiles whose partial sums never touch memory
-/// within a chunk. How a group skips zeros depends only on how many its
-/// rows hold in the chunk ([`COMPACT_ABOVE`]):
-///
-/// * few or none: [`strict_tile`], where one `b` load feeds all four rows
-///   and each entry is tested for zero;
-/// * more: each row's nonzero positions are compacted
-///   ([`nonzero_positions`]) and [`sparse_tile`] multiplies only those. A
-///   data-dependent branch per entry mispredicts on ReLU outputs, which
-///   carry 40–70 % zeros in no pattern; a list costs the same wherever the
-///   zeros fall and does none of the skipped work.
-///
-/// A zero is never multiplied, not even where that would add `±0.0`:
-/// `0 · inf` and `0 · NaN` are NaN, so only skipping keeps the contract for
-/// every `b`. Columns past the last whole tile run the same tiles over a
-/// zero-padded copy of `b`'s tail columns.
+/// A one-term contraction is [`outer`]. On x86-64 with AVX2 the rest runs
+/// the register tiles of [`tiles::gemm_nn`]; other targets run the
+/// reference loop itself.
 pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n));
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    for_each_chunk(k, b, n, |ch| {
-        let row = |i: usize| &a[i * k + ch.p0..][..ch.len];
-        let mut i = 0;
-        while i + 4 <= m {
-            group::<4>(ch, &mut out[i * n..(i + 4) * n], std::array::from_fn(|r| row(i + r)));
-            i += 4;
-        }
-        for i in i..m {
-            group::<1>(ch, &mut out[i * n..(i + 1) * n], [row(i)]);
-        }
-    });
-}
-
-/// Hand `pass` the contraction `0..len` in [`CHUNK`]s, each with `b`'s
-/// padded tail columns over its rows packed (when `n` leaves a tail).
-fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk)) {
-    let mut tail = if n.is_multiple_of(MM_JT) { None } else { Some([0.0f32; CHUNK * MM_JT]) };
-    let mut p0 = 0;
-    while p0 < len {
-        let p1 = (p0 + CHUNK).min(len);
-        if let Some(tail) = &mut tail {
-            pack_tail(tail, b, n, p0..p1);
-        }
-        let tail = tail.as_ref().map_or(&[][..], |t| &t[..]);
-        pass(&Chunk { p0, len: p1 - p0, b, n, tail });
-        p0 = p1;
+    assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n), "gemm_nn operands");
+    match k {
+        0 => out.fill(0.0),
+        1 => outer(a, b, out),
+        _ => tiles::gemm_nn(m, k, n, a, b, out),
     }
 }
 
@@ -709,66 +353,725 @@ fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk))
 /// receives `+= a[p][i] · b[p][..]` with `p` ascending from zero, exact
 /// zeros of `a` skipped — [`gemm_nn`]'s sequence on the transposed `a`,
 /// bit for bit, without materialising the transpose.
-///
-/// The contraction runs in [`CHUNK`]s of `a`/`b` rows, so the tall operands
-/// stream from cache once per chunk sweep instead of once per output tile.
-/// Output rows (columns of `a`) go in groups of four. A chunk of `a` with
-/// too few zeros to compact runs every group through [`strict_tile`],
-/// reading `a` in place. Otherwise each group's columns are copied out
-/// contiguously and take [`gemm_nn`]'s choice between the shared-load and
-/// the compacted tiles — with the same reason never to multiply a zero.
 pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!((a.len(), b.len(), out.len()), (m * k, m * n, k * n));
-    if m == 0 {
-        out.fill(0.0);
-        return;
+    assert_eq!((a.len(), b.len(), out.len()), (m * k, m * n, k * n), "gemm_tn operands");
+    match m {
+        0 => out.fill(0.0),
+        1 => outer(a, b, out),
+        _ => tiles::gemm_tn(m, k, n, a, b, out),
     }
-    for_each_chunk(m, b, n, |ch| {
-        let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
-        let zeros = zero_count(a_ch);
-        let mut cols = None;
-        let mut i = 0;
-        while i + 4 <= k {
-            tn_group::<4>(ch, zeros, a_ch, k, i, &mut cols, &mut out[i * n..(i + 4) * n]);
-            i += 4;
-        }
-        for i in i..k {
-            tn_group::<1>(ch, zeros, a_ch, k, i, &mut cols, &mut out[i * n..(i + 1) * n]);
-        }
-    });
 }
 
-/// Output rows `i..i + R` of [`gemm_tn`] over one chunk, whose rows of `a`
-/// are `a_ch` (row stride `k`) and hold `zeros` exact zeros in all. Too
-/// few to compact anywhere: the group runs [`strict_tile`] reading `a` in
-/// place. Otherwise its columns are copied into `cols` for [`group`] to
-/// size up; the buffer is zeroed on first use in the chunk.
+/// The scalar reference of both Strict products, the contract itself:
+/// `out[i][..] = Σ_p x(i, p) · b[p][..]` over `i < rows` and `p < len`
+/// ascending, with `x(i, p) = a[i · stride.0 + p · stride.1]`, every
+/// element starting at `+0.0` and exact zeros of `x` skipped. `(k, 1)`
+/// strides give `a @ b`, `(1, k)` give `aᵀ @ b`.
 ///
-/// Reading in place pays for itself: copying the columns out for every
-/// group makes the `kernels` bench's dense `gemm/tn` cases take 1.13–2.0×
-/// as long, since the copy is a strided load and store per entry of `a`
-/// against `n` multiply-adds.
-#[inline(always)]
-fn tn_group<const R: usize>(
-    ch: &Chunk,
-    zeros: usize,
-    a_ch: &[f32],
-    k: usize,
-    i: usize,
-    cols: &mut Option<[[f32; CHUNK]; 4]>,
+/// A zero's term is skipped, not added as `±0.0`: `0 · inf` and `0 · NaN`
+/// are NaN, so a kernel must skip the term or discard its product to keep
+/// the contract for every `b`.
+// With AVX2 only the tests call it, as their oracle.
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "avx2"), allow(dead_code))]
+pub(crate) fn gemm_reference(
+    rows: usize,
+    len: usize,
+    a: &[f32],
+    stride: (usize, usize),
+    b: &[f32],
     out: &mut [f32],
 ) {
-    if !compacts(zeros, a_ch.len()) {
-        let x = |p: usize| -> [f32; R] { a_ch[p * k + i..][..R].try_into().expect("group") };
-        return tile_group(ch, out, zeros > 0, x);
-    }
-    let cols = cols.get_or_insert([[0.0f32; CHUNK]; 4]);
-    for (p, row) in a_ch.chunks_exact(k).enumerate() {
-        for (r, &v) in row[i..i + R].iter().enumerate() {
-            cols[r][p] = v;
+    let n = out.len() / rows.max(1);
+    out.fill(0.0);
+    for (i, row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        for (p, b_row) in b.chunks_exact(n.max(1)).take(len).enumerate() {
+            let x = a[i * stride.0 + p * stride.1];
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &v) in row.iter_mut().zip(b_row) {
+                *o += x * v;
+            }
         }
     }
-    group::<R>(ch, out, std::array::from_fn(|r| &cols[r][..ch.len]));
+}
+
+/// A one-term contraction: row `i` of `out` is `0.0 + x[i] · b`, or `+0.0`
+/// where `x[i]` is an exact zero — the reference loop's single step, with
+/// none of the tiles' set-up. The `0.0 +` is not a no-op: it turns a
+/// `-0.0` product into `+0.0`, as the reference does.
+fn outer(x: &[f32], b: &[f32], out: &mut [f32]) {
+    for (row, &x) in out.chunks_exact_mut(b.len().max(1)).zip(x) {
+        if x == 0.0 {
+            row.fill(0.0);
+        } else {
+            for (o, &v) in row.iter_mut().zip(b) {
+                *o = 0.0 + x * v;
+            }
+        }
+    }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+mod tiles {
+    //! No vector tiles on this target: both products run the scalar
+    //! reference loop.
+    use super::gemm_reference;
+
+    pub(super) fn gemm_nn(m: usize, k: usize, _: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        gemm_reference(m, k, a, (k, 1), b, out);
+    }
+
+    pub(super) fn gemm_tn(m: usize, k: usize, _: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        gemm_reference(k, m, a, (1, k), b, out);
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[allow(clippy::needless_range_loop)] // `r` and `v` index several arrays
+mod tiles {
+    //! The Strict products as AVX2 register tiles. Each output element's
+    //! partial sum lives in a vector lane and takes `acc + x·b` as a
+    //! `vmulps` and then a `vaddps` (never fused), `p` ascending from
+    //! `+0.0`; an exact zero `x` leaves `acc` as it was. Left operands are
+    //! row pointers plus a stride, read by broadcasting straight from
+    //! memory, so a tile's contraction loop holds no bounds check, and the
+    //! accumulators load from and store to `out` itself — the last `n % 16`
+    //! columns through lane masks, so no padded copy of `b` is made.
+    //!
+    //! Output rows go in groups of four (then singly), over the contraction
+    //! in [`CHUNK`]s. How a group skips zeros depends only on how many its
+    //! rows hold in the chunk ([`COMPACT_ABOVE`]):
+    //!
+    //! * none: [`dense_tile`], where one `b` load feeds all four rows;
+    //! * few: the same tile with a compare that masks the product to
+    //!   `+0.0` wherever `x` is an exact zero ([`add_nonzero`]). That is
+    //!   exact for every `b`: the discarded product may be NaN (`0 · inf`),
+    //!   no accumulator ever sees it;
+    //! * more: each row's nonzero positions are compacted
+    //!   ([`nonzero_positions`]) and [`sparse_tile`] multiplies only those.
+    //!   A data-dependent branch per entry mispredicts on ReLU outputs,
+    //!   which carry 40–70 % zeros in no pattern; a list costs the same
+    //!   wherever the zeros fall and does none of the skipped work.
+    //!
+    //! A one-column product puts output rows in the lanes instead
+    //! ([`column`]), each lane masking its own zeros the same way.
+    //!
+    //! The kernels are `unsafe`: they read and write through the pointers
+    //! they are given, which must cover the shapes they are given.
+    //! [`gemm_nn`] and [`gemm_tn`] derive all of them from slices whose
+    //! lengths the callers have checked.
+    use super::MM_JT;
+    use std::arch::x86_64::*;
+
+    /// Contraction indices per pass. A chunk's nonzero positions fit a
+    /// `u8`, so the index scratch is a few hundred bytes on the stack; the
+    /// `b` rows of one chunk (`256 · n · 4` bytes, 64 KiB at `n = 64`)
+    /// stay cache-resident while every output group sweeps them.
+    const CHUNK: usize = 256;
+
+    /// Capacity of one group member's position list: a chunk plus the
+    /// eight lanes [`nonzero_positions`] may write past the last kept
+    /// position.
+    const NZ_CAP: usize = CHUNK + 8;
+
+    /// Column width of the one-row tiles [`sparse_group`] runs on outputs
+    /// at least this wide: eight vector accumulators, so one row alone has
+    /// enough independent chains, and one index lookup feeds eight `b`
+    /// vectors. On the `kernels` bench's 60 %-zero `gemm/{nn,tn}/n64`
+    /// cases they take 0.65–0.72× the time of four-row 16-wide tiles over
+    /// the same lists.
+    const WIDE: usize = 4 * MM_JT;
+
+    /// Ascending bit positions of every byte value, packed one per byte of
+    /// a little-endian `u64`: the left-pack table of [`nonzero_positions`].
+    const LEFT_PACK: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut word, mut slot, mut bit) = (0u64, 0, 0);
+            while bit < 8 {
+                if mask & (1 << bit) != 0 {
+                    word |= (bit as u64) << (8 * slot);
+                    slot += 1;
+                }
+                bit += 1;
+            }
+            table[mask] = word;
+            mask += 1;
+        }
+        table
+    };
+
+    /// Write the positions of `x`'s entries that are not exact zeros (NaN
+    /// included, ±0.0 excluded) into `pos`, ascending, and return their
+    /// count. Branch-free: eight entries become a byte mask, the mask
+    /// selects their packed positions from [`LEFT_PACK`], and all eight
+    /// bytes are stored while the count advances only by the kept ones —
+    /// so the cost does not depend on where the zeros are. `x.len()` is at
+    /// most [`CHUNK`].
+    fn nonzero_positions(x: &[f32], pos: &mut [u8; NZ_CAP]) -> usize {
+        debug_assert!(x.len() <= CHUNK);
+        let mut len = 0;
+        let mut base = 0u64;
+        let mut eights = x.chunks_exact(8);
+        for e in &mut eights {
+            let mut mask = 0;
+            for (t, &v) in e.iter().enumerate() {
+                mask |= usize::from(v != 0.0) << t;
+            }
+            let packed = LEFT_PACK[mask] + base * 0x0101_0101_0101_0101;
+            pos[len..len + 8].copy_from_slice(&packed.to_le_bytes());
+            len += mask.count_ones() as usize;
+            base += 8;
+        }
+        for (t, &v) in eights.remainder().iter().enumerate() {
+            pos[len] = (base as usize + t) as u8;
+            len += usize::from(v != 0.0);
+        }
+        len
+    }
+
+    /// Number of exact zeros (±0.0) in `x`: a vectorised count, a fraction
+    /// of the multiply-adds of the rows it sizes up.
+    #[inline]
+    fn zero_count(x: &[f32]) -> usize {
+        x.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as usize
+    }
+
+    /// A group of left-operand entries goes through the compacted path
+    /// when more than `1 / COMPACT_ABOVE` of them are exact zeros, and
+    /// through the shared-load [`dense_tile`] otherwise. Measured on the
+    /// `kernels` bench's `gemm/` cases, run also at 3, 10, 20 and 30 %
+    /// zeros with each path forced in turn, the compacted path against a
+    /// per-entry-branch tile on the same operands took 1.4–2.1× as long at
+    /// 3 % zeros and widths ≤ 32 (0.8–1.1× at 64), 0.8–1.2× at 10 % (94 and
+    /// 1311 rows), 0.4–0.9× at 20 % and 0.2–0.4× at 60 %.
+    const COMPACT_ABOVE: usize = 8;
+
+    /// Whether `zeros` exact zeros among `entries` send a group to the
+    /// compacted path (see [`COMPACT_ABOVE`]).
+    #[inline]
+    fn compacts(zeros: usize, entries: usize) -> bool {
+        zeros * COMPACT_ABOVE > entries
+    }
+
+    /// One contraction chunk of a GEMM pass: `b`'s rows `p0..p0 + len`,
+    /// row stride `n`, starting at `b`.
+    struct Chunk {
+        p0: usize,
+        len: usize,
+        b: *const f32,
+        n: usize,
+    }
+
+    impl Chunk {
+        /// Whether the output holds no partial sums yet: accumulators start
+        /// at `+0.0` on the first chunk and at `out`'s running sums after
+        /// it. A round trip through memory is exact, so chunking never
+        /// changes a bit.
+        fn first(&self) -> bool {
+            self.p0 == 0
+        }
+    }
+
+    /// Hand `pass` the contraction `0..len` in [`CHUNK`]s.
+    fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk)) {
+        let mut p0 = 0;
+        while p0 < len {
+            let p1 = (p0 + CHUNK).min(len);
+            pass(&Chunk { p0, len: p1 - p0, b: b[p0 * n..].as_ptr(), n });
+            p0 = p1;
+        }
+    }
+
+    /// Sixteen lanes on, then sixteen off: `TAIL_MASK[16 - w..]` holds the
+    /// masks of a 16-wide tile's first `w` lanes.
+    const TAIL_MASK: [i32; 2 * MM_JT] = {
+        let mut m = [0; 2 * MM_JT];
+        let mut t = 0;
+        while t < MM_JT {
+            m[t] = -1;
+            t += 1;
+        }
+        m
+    };
+
+    /// The lane masks of a tile's first `w` columns (below `8 · V`), one
+    /// per vector.
+    #[inline(always)]
+    fn tail_mask<const V: usize>(w: usize) -> [__m256i; V] {
+        let m = &TAIL_MASK[MM_JT - w..][..8 * V];
+        // SAFETY: `m` holds the `8 · V` lanes read; AVX2 is enabled for the
+        // whole build, as this module's `cfg` requires.
+        std::array::from_fn(|v| unsafe { _mm256_loadu_si256(m[8 * v..].as_ptr().cast()) })
+    }
+
+    /// Eight lanes from `p`: all of them, or with `TAIL` those `m` selects
+    /// (the others read as `+0.0`, their memory untouched).
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for reading the lanes read.
+    #[inline(always)]
+    unsafe fn load<const TAIL: bool>(p: *const f32, m: __m256i) -> __m256 {
+        if TAIL {
+            _mm256_maskload_ps(p, m)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// Store eight lanes to `p`, or with `TAIL` only those `m` selects.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for writing the lanes written.
+    #[inline(always)]
+    unsafe fn store<const TAIL: bool>(p: *mut f32, m: __m256i, v: __m256) {
+        if TAIL {
+            _mm256_maskstore_ps(p, m, v)
+        } else {
+            _mm256_storeu_ps(p, v)
+        }
+    }
+
+    /// `acc + x·b`, or `acc` itself in the lanes where `x` is an exact
+    /// zero: there the product, whatever it is (NaN for `0 · inf`), is
+    /// masked to `+0.0` before the add, and `acc + 0.0` is `acc` bit for
+    /// bit, because an accumulator is never `-0.0` — it starts at `+0.0`,
+    /// and a round-to-nearest sum is `-0.0` only when both addends are —
+    /// nor a signalling NaN, which the add would quiet: it only ever holds
+    /// `+0.0` and sums.
+    /// (A `vblendvps` keeping the old accumulator gives the same bits, but
+    /// made the `kernels` bench's 5 %-zero `gemm/` cases take 1.5–1.6× as
+    /// long as this mask.)
+    #[inline(always)]
+    fn add_nonzero(acc: __m256, x: __m256, b: __m256) -> __m256 {
+        // SAFETY: AVX2 is enabled for the whole build, as this module's
+        // `cfg` requires.
+        unsafe {
+            let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(x, _mm256_setzero_ps());
+            _mm256_add_ps(acc, _mm256_and_ps(_mm256_mul_ps(x, b), keep))
+        }
+    }
+
+    /// `R` rows of `V` accumulator vectors at `out` (row stride `n`):
+    /// `+0.0` on the chunk's first pass, `out`'s running sums after it.
+    ///
+    /// # Safety
+    ///
+    /// Each row's lanes must be valid for [`load`]; [`store_acc`] the same.
+    #[inline(always)]
+    unsafe fn load_acc<const R: usize, const V: usize, const TAIL: bool>(
+        out: *const f32,
+        n: usize,
+        first: bool,
+        m: [__m256i; V],
+    ) -> [[__m256; V]; R] {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        if !first {
+            for r in 0..R {
+                for v in 0..V {
+                    acc[r][v] = load::<TAIL>(out.add(r * n).wrapping_add(8 * v), m[v]);
+                }
+            }
+        }
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn store_acc<const R: usize, const V: usize, const TAIL: bool>(
+        out: *mut f32,
+        n: usize,
+        m: [__m256i; V],
+        acc: [[__m256; V]; R],
+    ) {
+        for r in 0..R {
+            for v in 0..V {
+                store::<TAIL>(out.add(r * n).wrapping_add(8 * v), m[v], acc[r][v]);
+            }
+        }
+    }
+
+    /// `out[r][j..j + 8V] (+)= Σ_p x(r, p) · b[p][j..j + 8V]` over the
+    /// chunk, `x(r, p)` at `x[r] + p · step`: the shared-load tile, where
+    /// one `b` load feeds all `R` rows. With `ZEROS` every step masks the
+    /// products of zeros ([`add_nonzero`]); without, the caller has counted
+    /// none. The unmasked form pays for itself: forcing the mask on every
+    /// zero-free group makes the `kernels` bench's dense `gemm/` cases take
+    /// 1.4–1.8× as long. With `TAIL` only the lanes `m` selects exist.
+    ///
+    /// # Safety
+    ///
+    /// `x[r] + p · step` must be readable for every `r < R` and
+    /// `p < ch.len`, `ch` must describe rows of `b`, and `out` must be `R`
+    /// rows of `ch.n` values (stride `ch.n`); both with the columns the
+    /// tile covers.
+    #[inline(always)]
+    unsafe fn dense_tile<const R: usize, const V: usize, const ZEROS: bool, const TAIL: bool>(
+        x: [*const f32; R],
+        step: usize,
+        ch: &Chunk,
+        j: usize,
+        out: *mut f32,
+        m: [__m256i; V],
+    ) {
+        let (n, out) = (ch.n, out.add(j));
+        let mut acc = load_acc::<R, V, TAIL>(out, n, ch.first(), m);
+        for p in 0..ch.len {
+            let b = ch.b.add(p * ch.n + j);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for v in 0..V {
+                bv[v] = load::<TAIL>(b.wrapping_add(8 * v), m[v]);
+            }
+            for r in 0..R {
+                let xv = _mm256_broadcast_ss(&*x[r].add(p * step));
+                for v in 0..V {
+                    acc[r][v] = if ZEROS {
+                        add_nonzero(acc[r][v], xv, bv[v])
+                    } else {
+                        _mm256_add_ps(acc[r][v], _mm256_mul_ps(xv, bv[v]))
+                    };
+                }
+            }
+        }
+        store_acc::<R, V, TAIL>(out, n, m, acc);
+    }
+
+    /// `R` output rows at `out` over one chunk, every column, through
+    /// [`dense_tile`] 16 columns at a time; the last `n % 16` through lane
+    /// masks, in one vector where they fit one.
+    ///
+    /// # Safety
+    ///
+    /// As for [`dense_tile`], over all `ch.n` columns.
+    #[inline(never)]
+    unsafe fn tile_group<const R: usize, const ZEROS: bool>(
+        x: [*const f32; R],
+        step: usize,
+        ch: &Chunk,
+        out: *mut f32,
+    ) {
+        let mut j = 0;
+        while j + MM_JT <= ch.n {
+            dense_tile::<R, 2, ZEROS, false>(x, step, ch, j, out, [_mm256_setzero_si256(); 2]);
+            j += MM_JT;
+        }
+        match ch.n - j {
+            0 => {}
+            w @ 1..=8 => dense_tile::<R, 1, ZEROS, true>(x, step, ch, j, out, tail_mask(w)),
+            w => dense_tile::<R, 2, ZEROS, true>(x, step, ch, j, out, tail_mask(w)),
+        }
+    }
+
+    /// `acc += x · b[p][..]` over `V` vectors, `x` broadcast from memory.
+    ///
+    /// # Safety
+    ///
+    /// `x` must be readable and `b` valid for [`load`] of each vector.
+    #[inline(always)]
+    unsafe fn axpy<const V: usize, const TAIL: bool>(
+        acc: &mut [__m256; V],
+        x: *const f32,
+        b: *const f32,
+        m: [__m256i; V],
+    ) {
+        let xv = _mm256_broadcast_ss(&*x);
+        for v in 0..V {
+            let bv = load::<TAIL>(b.wrapping_add(8 * v), m[v]);
+            acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(xv, bv));
+        }
+    }
+
+    /// `out[r][j..j + 8V] (+)= x[r][p] · b[p][j..j + 8V]` for the listed
+    /// positions `p` of `pos[r]` only, in list (ascending) order. The `R`
+    /// rows advance in lockstep over their common length, so `R`
+    /// independent accumulator chains hide the add latency; each row then
+    /// finishes its own list.
+    ///
+    /// # Safety
+    ///
+    /// As for [`dense_tile`], with `x[r] + p` readable at every listed `p`,
+    /// all of which are below `ch.len`.
+    #[inline(always)]
+    unsafe fn sparse_tile<const R: usize, const V: usize, const TAIL: bool>(
+        x: [*const f32; R],
+        pos: [&[u8]; R],
+        ch: &Chunk,
+        j: usize,
+        out: *mut f32,
+        m: [__m256i; V],
+    ) {
+        let (n, b, out) = (ch.n, ch.b.add(j), out.add(j));
+        let mut acc = load_acc::<R, V, TAIL>(out, n, ch.first(), m);
+        let common = pos.iter().map(|l| l.len()).min().unwrap_or(0);
+        let (heads, rests): ([&[u8]; R], [&[u8]; R]) =
+            (pos.map(|l| &l[..common]), pos.map(|l| &l[common..]));
+        for q in 0..common {
+            for r in 0..R {
+                let p = usize::from(heads[r][q]);
+                axpy::<V, TAIL>(&mut acc[r], x[r].add(p), b.add(p * n), m);
+            }
+        }
+        for r in 0..R {
+            for &p in rests[r] {
+                let p = usize::from(p);
+                axpy::<V, TAIL>(&mut acc[r], x[r].add(p), b.add(p * n), m);
+            }
+        }
+        store_acc::<R, V, TAIL>(out, n, m, acc);
+    }
+
+    /// `R` output rows at `out` over one chunk that skip zeros: each row's
+    /// nonzero positions are compacted once, then every column tile
+    /// multiplies only those — one row at a time in [`WIDE`] tiles where
+    /// the output is that wide, the remaining columns in `R`-row 16-wide
+    /// tiles and a masked tail, as in [`tile_group`].
+    ///
+    /// # Safety
+    ///
+    /// `vals` must hold `ch.len` values each; `ch` and `out` as for
+    /// [`tile_group`].
+    #[inline(never)]
+    unsafe fn sparse_group<const R: usize>(vals: [&[f32]; R], ch: &Chunk, out: *mut f32) {
+        let mut pos = [[0u8; NZ_CAP]; R];
+        let cnt: [usize; R] = std::array::from_fn(|r| nonzero_positions(vals[r], &mut pos[r]));
+        let lists: [&[u8]; R] = std::array::from_fn(|r| &pos[r][..cnt[r]]);
+        let x = vals.map(<[f32]>::as_ptr);
+        let n = ch.n;
+        let wide_end = n - n % WIDE;
+        for r in 0..R {
+            for j in (0..wide_end).step_by(WIDE) {
+                let none = [_mm256_setzero_si256(); 8];
+                sparse_tile::<1, 8, false>([x[r]], [lists[r]], ch, j, out.add(r * n), none);
+            }
+        }
+        let mut j = wide_end;
+        while j + MM_JT <= n {
+            sparse_tile::<R, 2, false>(x, lists, ch, j, out, [_mm256_setzero_si256(); 2]);
+            j += MM_JT;
+        }
+        match n - j {
+            0 => {}
+            w @ 1..=8 => sparse_tile::<R, 1, true>(x, lists, ch, j, out, tail_mask(w)),
+            w => sparse_tile::<R, 2, true>(x, lists, ch, j, out, tail_mask(w)),
+        }
+    }
+
+    /// `R` output rows at `out` over one chunk, their left values `vals[r]`
+    /// given contiguously: [`sparse_group`] if [`compacts`] says so, else
+    /// [`tile_group`], with the zero mask only if a value is zero.
+    ///
+    /// # Safety
+    ///
+    /// As for [`sparse_group`].
+    #[inline(always)]
+    unsafe fn group<const R: usize>(vals: [&[f32]; R], ch: &Chunk, out: *mut f32) {
+        let zeros = vals.iter().map(|v| zero_count(v)).sum();
+        if compacts(zeros, R * ch.len) {
+            sparse_group(vals, ch, out);
+        } else if zeros > 0 {
+            tile_group::<R, true>(vals.map(<[f32]>::as_ptr), 1, ch, out);
+        } else {
+            tile_group::<R, false>(vals.map(<[f32]>::as_ptr), 1, ch, out);
+        }
+    }
+
+    /// [`super::gemm_nn`] for `k ≥ 2`.
+    pub(super) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n), "gemm_nn operands");
+        if n == 1 {
+            // SAFETY: `a` is `m × k`, `b` `k × 1` and `out` `m × 1` (checked
+            // above), so `x(i, p) = a[i·k + p]`, `b[p]` and `out[i]` are in
+            // bounds for `i < m`, `p < k`.
+            return unsafe { column::<true>(m, k, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr()) };
+        }
+        for_each_chunk(k, b, n, |ch| {
+            let row = |i: usize| &a[i * k + ch.p0..][..ch.len];
+            let out = out.as_mut_ptr();
+            // SAFETY: `out` is `m × n` and `ch` holds `ch.len` whole rows of
+            // the `k × n` `b` (checked above), so each group's output rows
+            // `i..i + R` are in bounds; its left values are slices of `a`.
+            unsafe {
+                let mut i = 0;
+                while i + 4 <= m {
+                    group::<4>(std::array::from_fn(|r| row(i + r)), ch, out.add(i * n));
+                    i += 4;
+                }
+                for i in i..m {
+                    group::<1>([row(i)], ch, out.add(i * n));
+                }
+            }
+        });
+    }
+
+    /// [`super::gemm_tn`] for `m ≥ 2`.
+    ///
+    /// The contraction runs in [`CHUNK`]s of `a`/`b` rows, so the tall
+    /// operands stream from cache once per chunk sweep instead of once per
+    /// output tile. Output rows (columns of `a`) go in groups of four. A
+    /// chunk of `a` with too few zeros to compact runs every group through
+    /// [`tile_group`], reading `a` in place. Otherwise each group's columns
+    /// are copied out contiguously and take [`group`]'s choice between the
+    /// shared-load and the compacted tiles.
+    pub(super) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert_eq!((a.len(), b.len(), out.len()), (m * k, m * n, k * n), "gemm_tn operands");
+        if n == 1 {
+            // SAFETY: `a` is `m × k`, `b` `m × 1` and `out` `k × 1` (checked
+            // above), so `x(i, p) = a[p·k + i]`, `b[p]` and `out[i]` are in
+            // bounds for `i < k`, `p < m`.
+            return unsafe {
+                column::<false>(k, m, a.as_ptr(), 1, k, b.as_ptr(), out.as_mut_ptr())
+            };
+        }
+        for_each_chunk(m, b, n, |ch| {
+            let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
+            let zeros = zero_count(a_ch);
+            let mut cols = None;
+            let out = out.as_mut_ptr();
+            // SAFETY: `out` is `k × n` and `ch` holds `ch.len` whole rows of
+            // the `m × n` `b` (checked above), so each group's output rows
+            // `i..i + R` are in bounds, and `a_ch` holds the chunk's
+            // `ch.len` rows of `a` with `i + R ≤ k`.
+            unsafe {
+                let mut i = 0;
+                while i + 4 <= k {
+                    tn_group::<4>(ch, zeros, a_ch, k, i, &mut cols, out.add(i * n));
+                    i += 4;
+                }
+                for i in i..k {
+                    tn_group::<1>(ch, zeros, a_ch, k, i, &mut cols, out.add(i * n));
+                }
+            }
+        });
+    }
+
+    /// Output rows `i..i + R` of [`gemm_tn`] over one chunk, whose rows of
+    /// `a` are `a_ch` (row stride `k`) and hold `zeros` exact zeros in all.
+    /// Too few to compact anywhere: the group runs [`tile_group`] reading
+    /// `a` in place. Otherwise its columns are copied into `cols` for
+    /// [`group`] to size up; the buffer is zeroed on first use in the
+    /// chunk.
+    ///
+    /// Reading in place pays for itself: copying the columns out for every
+    /// group made the `kernels` bench's dense `gemm/tn` cases take
+    /// 1.13–2.0× as long, since the copy is a strided load and store per
+    /// entry of `a` against `n` multiply-adds.
+    ///
+    /// # Safety
+    ///
+    /// `a_ch` must hold `ch.len` rows of `k` values and `i + R ≤ k`; `ch`
+    /// and `out` as for [`tile_group`].
+    #[inline(always)]
+    unsafe fn tn_group<const R: usize>(
+        ch: &Chunk,
+        zeros: usize,
+        a_ch: &[f32],
+        k: usize,
+        i: usize,
+        cols: &mut Option<[[f32; CHUNK]; 4]>,
+        out: *mut f32,
+    ) {
+        if !compacts(zeros, a_ch.len()) {
+            let x = std::array::from_fn(|r| a_ch[i + r..].as_ptr());
+            return if zeros > 0 {
+                tile_group::<R, true>(x, k, ch, out)
+            } else {
+                tile_group::<R, false>(x, k, ch, out)
+            };
+        }
+        let cols = cols.get_or_insert([[0.0f32; CHUNK]; 4]);
+        for (p, row) in a_ch.chunks_exact(k).enumerate() {
+            for (r, &v) in row[i..i + R].iter().enumerate() {
+                cols[r][p] = v;
+            }
+        }
+        group::<R>(std::array::from_fn(|r| &cols[r][..ch.len]), ch, out);
+    }
+
+    /// A one-column product, `out[i] = Σ_p x(i, p) · b[p]` over `i < rows`
+    /// and `p < len` ascending, `x(i, p)` at `a + i · lane + p · step`:
+    /// output rows sit in vector lanes, 32 at a time (then 8, then a
+    /// masked rest), each lane masking its own zeros ([`add_nonzero`]).
+    /// With `GATHER` (`a @ b`, lanes `k` apart) the lanes are gathered;
+    /// without (`aᵀ @ b`, lanes adjacent) they load as one vector.
+    ///
+    /// # Safety
+    ///
+    /// `x(i, p)` must be readable for every `i < rows` and `p < len`, `b`
+    /// must hold `len` values and `out` `rows`.
+    unsafe fn column<const GATHER: bool>(
+        rows: usize,
+        len: usize,
+        a: *const f32,
+        lane: usize,
+        step: usize,
+        b: *const f32,
+        out: *mut f32,
+    ) {
+        assert!(lane <= i32::MAX as usize / 8, "gather offsets overflow");
+        let all = _mm256_set1_epi32(-1);
+        let mut i = 0;
+        while i + 32 <= rows {
+            column_block::<4, GATHER, false>(a.add(i * lane), lane, step, len, b, out.add(i), all);
+            i += 32;
+        }
+        while i + 8 <= rows {
+            column_block::<1, GATHER, false>(a.add(i * lane), lane, step, len, b, out.add(i), all);
+            i += 8;
+        }
+        if i < rows {
+            let m = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32((rows - i) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            column_block::<1, GATHER, true>(a.add(i * lane), lane, step, len, b, out.add(i), m);
+        }
+    }
+
+    /// `V` vectors of [`column`]'s output rows from `out`; with `TAIL`
+    /// (and `V = 1`) only the lanes `m` selects exist.
+    ///
+    /// # Safety
+    ///
+    /// As for [`column`], over the block's rows.
+    #[inline(always)]
+    unsafe fn column_block<const V: usize, const GATHER: bool, const TAIL: bool>(
+        a: *const f32,
+        lane: usize,
+        step: usize,
+        len: usize,
+        b: *const f32,
+        out: *mut f32,
+        m: __m256i,
+    ) {
+        let idx = _mm256_mullo_epi32(
+            _mm256_set1_epi32(lane as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut acc = [_mm256_setzero_ps(); V];
+        for p in 0..len {
+            let bv = _mm256_broadcast_ss(&*b.add(p));
+            for v in 0..V {
+                let x = a.add(8 * v * lane + p * step);
+                let xv = match (GATHER, TAIL) {
+                    (false, _) => load::<TAIL>(x, m),
+                    (true, false) => _mm256_i32gather_ps::<4>(x, idx),
+                    (true, true) => _mm256_mask_i32gather_ps::<4>(
+                        _mm256_setzero_ps(),
+                        x,
+                        idx,
+                        _mm256_castsi256_ps(m),
+                    ),
+                };
+                acc[v] = add_nonzero(acc[v], xv, bv);
+            }
+        }
+        for v in 0..V {
+            store::<TAIL>(out.add(8 * v), m, acc[v]);
+        }
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -854,21 +1157,11 @@ mod tests {
         assert_eq!(g.row(2), &[1.0, 2.0]);
     }
 
-    /// The unblocked scalar reference loop: the order contract that
-    /// `matmul_into`'s 4-row-blocked kernel must reproduce bit-for-bit.
+    /// The scalar reference loop on tensors: the order contract every
+    /// Strict kernel must reproduce bit for bit.
     fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for p in 0..a.cols() {
-                let x = a.get(i, p);
-                if x == 0.0 {
-                    continue;
-                }
-                for j in 0..b.cols() {
-                    out.set(i, j, out.get(i, j) + x * b.get(p, j));
-                }
-            }
-        }
+        gemm_reference(a.rows(), a.cols(), a.data(), (a.cols(), 1), b.data(), out.data_mut());
         out
     }
 
@@ -906,10 +1199,10 @@ mod tests {
         }
     }
 
-    /// The zero densities the kernel tests sweep, in percent: dense, and
-    /// the 30–95 % exact-zero share of ReLU activations and their
-    /// gradients.
-    const ZERO_PCTS: [u32; 4] = [0, 30, 60, 95];
+    /// The zero densities the kernel tests sweep, in percent: dense, few
+    /// enough zeros that no group compacts (the tiles' zero mask), and the
+    /// 30–95 % exact-zero share of ReLU activations and their gradients.
+    const ZERO_PCTS: [u32; 5] = [0, 5, 30, 60, 95];
 
     /// A left operand with exact zeros (±0.0, sign by hash) at about
     /// `pct` percent of its entries. A third of the rows and a third of
@@ -1009,6 +1302,29 @@ mod tests {
         }
     }
 
+    /// One-column products (output rows in vector lanes: 32, 8 and a
+    /// masked rest at a time) over row counts 1..=80, and one-term
+    /// contractions, at every zero density. A one-term `b` also holds
+    /// zeros: a negative `x` opposite one makes a `-0.0` product, which
+    /// the reference's `+0.0 +` turns into `+0.0`.
+    #[test]
+    fn strict_kernels_match_reference_on_one_column_and_one_term() {
+        for m in 1..=80 {
+            for (d, &pct) in ZERO_PCTS.iter().enumerate() {
+                let salt = (m * 8 + d) as u32;
+                check_strict_kernels(m, 1 + m % 70, 1, pct, salt);
+                check_strict_kernels(m, 1, 1 + m % 40, pct, salt);
+                let a = zeroed_tensor(m, 1, pct, salt);
+                let b = zeroed_tensor(1, 1 + m % 40, 50, salt ^ 3);
+                let want = matmul_reference(&a, &b).to_bits_vec();
+                assert_eq!(a.matmul(&b).to_bits_vec(), want, "NN ({m},1)@(1,{})", b.cols());
+                let mut got = Tensor::full(m, b.cols(), f32::NAN);
+                a.transpose().matmul_tn_into(&b, &mut got);
+                assert_eq!(got.to_bits_vec(), want, "TN (1,{m})^T@(1,{})", b.cols());
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
@@ -1019,7 +1335,7 @@ mod tests {
         /// bit-identical to the scalar reference loop.
         #[test]
         fn strict_kernels_match_reference_at_every_width(
-            (m, k, n, salt, d) in (1usize..=13, 1usize..=70, 1usize..=140, 0u32..1000, 0usize..4)
+            (m, k, n, salt, d) in (1usize..=13, 1usize..=70, 1usize..=140, 0u32..1000, 0usize..5)
         ) {
             check_strict_kernels(m, k, n, ZERO_PCTS[d], salt);
         }
