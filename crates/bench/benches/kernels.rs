@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 use baselines::{EmbedConfig, EmbedKind};
 use calib::{AdaptiveCalibrator, MethodSubset};
-use dbg4eth::Dbg4EthConfig;
+use dbg4eth::{Branch, Dbg4EthConfig, Encoder};
 use eth_graph::{sample_subgraph, SamplerConfig, Subgraph, TxGraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale, World, WorldConfig};
 use gnn::{
@@ -93,12 +93,13 @@ fn bench_gsg_step(c: &mut Criterion) {
 /// An LDG encoder under `cfg` and one account packed alone for it.
 fn ldg_one_account(cfg: &Dbg4EthConfig) -> (ParamStore, LdgEncoder, LdgBatch) {
     let g = GraphTensors::from_subgraph(&one_subgraph(), cfg.t_slices);
-    let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
-    let mut ldg_cfg = cfg.ldg;
-    ldg_cfg.t_slices = cfg.t_slices;
-    let enc = LdgEncoder::new(&mut store, &mut rng, ldg_cfg);
-    let batch = LdgBatch::pack(&[&g], cfg.t_slices);
+    let Encoder::Ldg(enc) =
+        Encoder::new(Branch::Ldg, cfg, &mut store, &mut StdRng::seed_from_u64(2))
+    else {
+        unreachable!("the LDG branch builds an LDG encoder")
+    };
+    let batch = LdgBatch::pack(&[&g], enc.config.t_slices);
     (store, enc, batch)
 }
 

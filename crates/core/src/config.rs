@@ -144,6 +144,15 @@ impl Default for Dbg4EthConfig {
     }
 }
 
+// Upper bounds of the encoder dimensions (see `Dbg4EthConfig::validate`):
+// every width (`d_in`, `hidden`, `d_out`, each DiffPool cluster count), the
+// GSG's heads per layer and layers, the LDG's `T`, and either head's classes.
+const MAX_WIDTH: usize = 512;
+const MAX_HEADS: usize = 64;
+const MAX_LAYERS: usize = 8;
+const MAX_T_SLICES: usize = 64;
+const MAX_CLASSES: usize = 256;
+
 /// Why a configuration (or a training fraction) was rejected. Every range
 /// the encoder constructors would otherwise assert on is checked up front,
 /// so a bad configuration is a typed error instead of a panic deep inside
@@ -168,6 +177,13 @@ pub enum ConfigError {
     Gsg(String),
     /// The LDG sub-configuration is out of range.
     Ldg(String),
+    /// `t_slices` exceeds its upper bound (lowering builds one adjacency
+    /// per slice for every account, whichever branches are enabled).
+    TSlices(usize),
+    /// [`crate::Session::train`] persists the stacked classifier, which
+    /// only the GBDT kinds (LightGBM, XGBoost) can be; the other
+    /// classifiers run through [`crate::run`].
+    NotPersistable(ClassifierKind),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -190,6 +206,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoBranch => write!(f, "config enables no encoder branch"),
             ConfigError::Gsg(m) => write!(f, "GSG {m}"),
             ConfigError::Ldg(m) => write!(f, "LDG {m}"),
+            ConfigError::TSlices(v) => {
+                write!(f, "t_slices must be at most {MAX_T_SLICES} (got {v})")
+            }
+            ConfigError::NotPersistable(k) => write!(
+                f,
+                "classifier {} cannot be persisted; train a model with LightGBM or XGBoost",
+                k.name()
+            ),
         }
     }
 }
@@ -300,6 +324,14 @@ impl Dbg4EthConfig {
     /// Reject out-of-range settings with a typed [`ConfigError`]. Called by
     /// [`Dbg4EthConfigBuilder::build`] and when a persisted configuration is
     /// reloaded.
+    ///
+    /// The encoder dimensions have upper bounds as well as lower ones —
+    /// widths and cluster counts at most 512, at most 8 GSG layers of at
+    /// most 64 heads, `t_slices` at most 64 and at most 256 classes — so
+    /// no accepted configuration builds an encoder of more than 4 Mi
+    /// parameters (16 MiB of `f32` weights) per branch. A tampered but
+    /// checksummed container therefore cannot make the loader allocate
+    /// without bound.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.epochs == 0 {
             return Err(ConfigError::Epochs(self.epochs));
@@ -319,12 +351,27 @@ impl Dbg4EthConfig {
         if !self.use_gsg && !self.use_ldg {
             return Err(ConfigError::NoBranch);
         }
+        if self.t_slices > MAX_T_SLICES {
+            return Err(ConfigError::TSlices(self.t_slices));
+        }
         if self.use_gsg {
             let g = &self.gsg;
             if g.d_in == 0 || g.hidden == 0 || g.layers == 0 || g.d_out == 0 {
                 return Err(ConfigError::Gsg(format!(
                     "dimensions must be positive (d_in {}, hidden {}, layers {}, d_out {})",
                     g.d_in, g.hidden, g.layers, g.d_out
+                )));
+            }
+            if [g.d_in, g.hidden, g.d_out].into_iter().any(|w| w > MAX_WIDTH)
+                || g.layers > MAX_LAYERS
+                || g.heads > MAX_HEADS
+                || g.n_classes > MAX_CLASSES
+            {
+                return Err(ConfigError::Gsg(format!(
+                    "dimensions exceed their bounds (d_in {}, hidden {}, d_out {} \
+                     ≤ {MAX_WIDTH}; layers {} ≤ {MAX_LAYERS}; heads {} ≤ {MAX_HEADS}; \
+                     n_classes {} ≤ {MAX_CLASSES})",
+                    g.d_in, g.hidden, g.d_out, g.layers, g.heads, g.n_classes
                 )));
             }
             if g.heads == 0 || !g.hidden.is_multiple_of(g.heads) {
@@ -350,6 +397,15 @@ impl Dbg4EthConfig {
                     "pool_layers {} outside 1..={}",
                     l.pool_layers,
                     l.pool_clusters.len()
+                )));
+            }
+            if [l.d_in, l.hidden, l.d_out].iter().chain(&l.pool_clusters).any(|&w| w > MAX_WIDTH)
+                || l.n_classes > MAX_CLASSES
+            {
+                return Err(ConfigError::Ldg(format!(
+                    "dimensions exceed their bounds (d_in {}, hidden {}, d_out {}, \
+                     pool_clusters {:?} ≤ {MAX_WIDTH}; n_classes {} ≤ {MAX_CLASSES})",
+                    l.d_in, l.hidden, l.d_out, l.pool_clusters, l.n_classes
                 )));
             }
             if l.pool_clusters.contains(&0) {
@@ -451,6 +507,64 @@ mod tests {
         ));
         let bad_pool = LdgConfig { pool_layers: 0, ..LdgConfig::default() };
         assert!(matches!(Dbg4EthConfig::builder().ldg(bad_pool).build(), Err(ConfigError::Ldg(_))));
+    }
+
+    /// The largest configuration `validate` accepts builds encoders within
+    /// the bound its doc states, and one step past any bound is refused.
+    #[test]
+    fn largest_accepted_encoders_stay_within_the_stated_bound() {
+        use crate::branch::{Branch, Encoder};
+        use nn::ParamStore;
+        use rand::{rngs::StdRng, SeedableRng};
+        let c = Dbg4EthConfig {
+            gsg: GsgConfig {
+                d_in: MAX_WIDTH,
+                hidden: MAX_WIDTH,
+                layers: MAX_LAYERS,
+                heads: MAX_HEADS,
+                d_out: MAX_WIDTH,
+                n_classes: MAX_CLASSES,
+                use_center: true,
+            },
+            ldg: LdgConfig {
+                d_in: MAX_WIDTH,
+                hidden: MAX_WIDTH,
+                t_slices: MAX_T_SLICES,
+                pool_clusters: [MAX_WIDTH; 3],
+                pool_layers: 3,
+                d_out: MAX_WIDTH,
+                n_classes: MAX_CLASSES,
+                use_center: true,
+            },
+            t_slices: MAX_T_SLICES,
+            ..Dbg4EthConfig::default()
+        };
+        c.validate().expect("the largest accepted configuration");
+        for branch in Branch::ALL {
+            let mut store = ParamStore::new();
+            Encoder::new(branch, &c, &mut store, &mut StdRng::seed_from_u64(0));
+            assert!(store.num_scalars() <= 4 << 20, "{branch:?}: {}", store.num_scalars());
+        }
+
+        let past: [fn(&mut Dbg4EthConfig); 12] = [
+            |c| c.gsg.d_in += 1,
+            |c| c.gsg.hidden += MAX_HEADS,
+            |c| c.gsg.d_out += 1,
+            |c| c.gsg.layers += 1,
+            |c| c.gsg.heads *= 2,
+            |c| c.gsg.n_classes += 1,
+            |c| c.ldg.d_in += 1,
+            |c| c.ldg.hidden += 1,
+            |c| c.ldg.d_out += 1,
+            |c| c.ldg.pool_clusters[2] += 1,
+            |c| c.ldg.n_classes += 1,
+            |c| c.t_slices += 1,
+        ];
+        for (k, step) in past.iter().enumerate() {
+            let mut over = c;
+            step(&mut over);
+            assert!(over.validate().is_err(), "step {k} past the bounds was accepted");
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! println!("F1 = {:.2}", out.metrics.f1);
 //! ```
 
+mod branch;
 mod config;
 mod error;
 mod model;
@@ -33,8 +34,8 @@ mod multiclass;
 mod pipeline;
 pub mod report;
 mod session;
-mod trainer;
 
+pub use branch::{train_branch, Branch, BranchScorer, Encoder, EpochStats, TrainedEncoder};
 pub use config::{
     CalibrationConfig, ClassifierKind, ConfigError, Dbg4EthConfig, Dbg4EthConfigBuilder,
     FeatureMode,
@@ -51,4 +52,3 @@ pub use pipeline::{
     RunOutput,
 };
 pub use session::{InferOptions, Session};
-pub use trainer::{train_gsg, train_ldg, BranchScorer, EpochStats, TrainedGsg, TrainedLdg};

@@ -16,17 +16,17 @@
 //! version-mismatched files are rejected with a typed [`ModelIoError`];
 //! loading never panics.
 
+use crate::branch::{Branch, BranchScorer, Encoder, EpochStats, TrainedEncoder};
 use crate::config::{CalibrationConfig, ClassifierKind, Dbg4EthConfig, FeatureMode};
 use crate::pipeline::{
     assemble_output, calibrate_branches, encode_with_models, lower_one, RunOutput,
 };
-use crate::trainer::{BranchScorer, EpochStats, TrainedGsg, TrainedLdg};
 use boost::{Gbdt, GbdtConfig};
 use calib::{AdaptiveCalibrator, ConfidenceScaler, MethodSubset};
 use eth_graph::centrality::CentralityMeasure;
 use eth_graph::Subgraph;
 use eth_sim::GraphDataset;
-use gnn::{AugmentConfig, GraphTensors, GsgConfig, GsgEncoder, LdgEncoder};
+use gnn::{AugmentConfig, GraphTensors, GsgConfig};
 use model_io::{ModelIoError, ModelReader, ModelWriter, SectionReader, SectionWriter};
 use nn::ParamStore;
 use rand::rngs::StdRng;
@@ -46,8 +46,8 @@ fn account_latency_edges() -> &'static [f64] {
 
 /// One trained encoder branch plus its fitted calibration ensemble
 /// (`None` when the run was configured without calibration).
-pub struct TrainedBranch<S> {
-    pub scorer: S,
+pub struct TrainedBranch {
+    pub scorer: TrainedEncoder,
     pub calibrator: Option<AdaptiveCalibrator>,
     /// `true` when the calibrator was trained but could not be recovered
     /// from the container (damaged `gsg.cal`/`ldg.cal` section): the branch
@@ -175,8 +175,8 @@ pub struct TrainedModel {
     /// The configuration the model was trained under. Drives encoder
     /// reconstruction at load time and the serving-path feature mode.
     pub config: Dbg4EthConfig,
-    pub gsg: Option<TrainedBranch<TrainedGsg>>,
-    pub ldg: Option<TrainedBranch<TrainedLdg>>,
+    pub gsg: Option<TrainedBranch>,
+    pub ldg: Option<TrainedBranch>,
     /// The stacked classifier over the calibrated branch probabilities.
     pub classifier: Gbdt,
 }
@@ -197,17 +197,14 @@ fn fit_pinned_scaler(raw: &[f64]) -> ConfidenceScaler {
     ConfidenceScaler::fit(&finite)
 }
 
-/// The GBDT configuration for a persistable classifier. Only the two GBDT
+/// The GBDT configuration of a persistable classifier. Only the two GBDT
 /// kinds can be saved; the Fig. 7 comparison classifiers (random forest,
 /// AdaBoost, MLP) remain available through [`crate::run`].
-fn classifier_config(config: &Dbg4EthConfig) -> GbdtConfig {
-    match config.classifier {
-        ClassifierKind::LightGbm => GbdtConfig::lightgbm(),
-        ClassifierKind::XgBoost => GbdtConfig::xgboost(),
-        other => panic!(
-            "train() supports the persistable GBDT classifiers (LightGBM, XGBoost), not {}",
-            other.name()
-        ),
+pub(crate) fn gbdt_config(kind: ClassifierKind) -> Option<GbdtConfig> {
+    match kind {
+        ClassifierKind::LightGbm => Some(GbdtConfig::lightgbm()),
+        ClassifierKind::XgBoost => Some(GbdtConfig::xgboost()),
+        ClassifierKind::RandomForest | ClassifierKind::AdaBoost | ClassifierKind::Mlp => None,
     }
 }
 
@@ -222,44 +219,36 @@ pub(crate) fn train_impl(
     dataset: &GraphDataset,
     train_frac: f64,
     config: &Dbg4EthConfig,
+    gbdt: GbdtConfig,
 ) -> TrainOutput {
     let _span = obs::span("model.train");
     obs::counter_add("model.trains", 1);
-    let gbdt_config = classifier_config(config);
-    let encoded = encode_with_models(dataset, train_frac, config);
-    let mut cal = calibrate_branches(&encoded.encoded, config);
+    let (encoded, models) = encode_with_models(dataset, train_frac, config);
+    let cal = calibrate_branches(&encoded, config);
     let classifier = {
         let _span = obs::span("pipeline.classify");
-        Gbdt::fit(&cal.train_features, &encoded.encoded.holdout_labels, gbdt_config)
+        Gbdt::fit(&cal.train_features, &encoded.holdout_labels, gbdt)
     };
     let test_scores = classifier.predict_proba_all(&cal.test_features);
+    let run = assemble_output(&cal, &encoded, test_scores);
 
-    // Pull the fitted calibrators out of the branch list; it holds the
-    // enabled branches in GSG-then-LDG order, matching the scorers.
-    let mut calibrators: Vec<Option<AdaptiveCalibrator>> =
-        cal.branches.iter_mut().map(|b| b.calibrator.take()).collect();
-    calibrators.reverse();
-    // Pin each branch's confidence scaler to the holdout split it was
-    // calibrated against, so a serving process can scale singleton batches
-    // exactly as training did instead of refitting on whatever happens to
-    // share the request.
-    let gsg_scaler = encoded.encoded.gsg.as_ref().map(|e| fit_pinned_scaler(&e.holdout_raw));
-    let ldg_scaler = encoded.encoded.ldg.as_ref().map(|e| fit_pinned_scaler(&e.holdout_raw));
-    let gsg = encoded.gsg.map(|scorer| TrainedBranch {
-        scorer,
-        calibrator: calibrators.pop().expect("one branch per enabled scorer"),
-        calibrator_lost: false,
-        scaler: gsg_scaler,
-    });
-    let ldg = encoded.ldg.map(|scorer| TrainedBranch {
-        scorer,
-        calibrator: calibrators.pop().expect("one branch per enabled scorer"),
-        calibrator_lost: false,
-        scaler: ldg_scaler,
-    });
-
-    let run = assemble_output(&cal, &encoded.encoded, test_scores);
-    TrainOutput { model: TrainedModel { config: *config, gsg, ldg, classifier }, run }
+    // The encoders and the calibrated branches both list the enabled
+    // branches in pipeline order. Each branch's confidence scaler is pinned
+    // to the holdout split it was calibrated against, so a serving process
+    // can scale singleton batches exactly as training did instead of
+    // refitting on whatever happens to share the request.
+    let mut model = TrainedModel { config: *config, gsg: None, ldg: None, classifier };
+    for (scorer, (branch, calibrated)) in models.into_iter().zip(cal.branches) {
+        let encoding = branch.pick(&encoded.gsg, &encoded.ldg);
+        let holdout_raw = &encoding.as_ref().expect("an encoding per trained branch").holdout_raw;
+        *branch.pick(&mut model.gsg, &mut model.ldg) = Some(TrainedBranch {
+            scorer,
+            calibrator: calibrated.calibrator,
+            calibrator_lost: false,
+            scaler: Some(fit_pinned_scaler(holdout_raw)),
+        });
+    }
+    TrainOutput { model, run }
 }
 
 /// Per-call serving controls threaded through [`infer_impl`], beyond the
@@ -360,40 +349,18 @@ pub(crate) fn infer_impl(
         // Rungs 3-4: score each present branch with containment. A deadline
         // expiring between branches abandons the whole batch rather than
         // serving from whichever branch happened to finish first.
-        let trained_branches =
-            usize::from(model.config.use_gsg) + usize::from(model.config.use_ldg);
+        let trained_branches = Branch::enabled_in(&model.config);
         let mut outcomes: Vec<BranchOutcome> = Vec::new();
-        if model.config.use_gsg {
-            if let Some(b) = &model.gsg {
-                outcomes.push(score_branch(
-                    b,
-                    "gsg.encode",
-                    &tensors,
-                    &kept,
-                    threads,
-                    &latency_ns,
-                    run.pinned_scaling,
-                ));
-            } else {
-                obs::warn!("model.infer", "GSG branch unavailable; serving from survivors");
-            }
-            if !deadline_ok() {
-                break 'pipeline;
-            }
-        }
-        if model.config.use_ldg {
-            if let Some(b) = &model.ldg {
-                outcomes.push(score_branch(
-                    b,
-                    "ldg.encode",
-                    &tensors,
-                    &kept,
-                    threads,
-                    &latency_ns,
-                    run.pinned_scaling,
-                ));
-            } else {
-                obs::warn!("model.infer", "LDG branch unavailable; serving from survivors");
+        for &branch in &trained_branches {
+            match branch.pick(&model.gsg, &model.ldg) {
+                Some(b) => {
+                    outcomes.push(score_branch(b, &tensors, &kept, threads, &latency_ns, run))
+                }
+                None => obs::warn!(
+                    "model.infer",
+                    "{} branch unavailable; serving from survivors",
+                    branch.names().label
+                ),
             }
             if !deadline_ok() {
                 break 'pipeline;
@@ -401,7 +368,7 @@ pub(crate) fn infer_impl(
         }
         // A branch lost at load degrades every score: the classifier was
         // trained on feature rows the surviving branches alone cannot rebuild.
-        let branch_lost = outcomes.len() < trained_branches;
+        let branch_lost = outcomes.len() < trained_branches.len();
         let branch_degraded = branch_lost
             || outcomes.iter().any(|o| o.uncalibrated)
             || outcomes.iter().any(|o| o.scaler_refit);
@@ -418,7 +385,7 @@ pub(crate) fn infer_impl(
                 }));
                 continue;
             }
-            let row_complete = confs.len() == trained_branches;
+            let row_complete = confs.len() == trained_branches.len();
             let score = if row_complete {
                 let row = confs.clone();
                 let classifier = &model.classifier;
@@ -500,19 +467,18 @@ struct BranchOutcome {
 /// Rung 3-4 of the serving ladder for one branch: isolated raw scoring,
 /// confidence scaling, calibration with uncalibrated fallback. Scaling is
 /// either refitted on the finite survivors of this batch (the training
-/// semantics — bit-identical to the clean pipeline) or, with `pinned`,
-/// taken from the train-time scaler so scores do not depend on what else
-/// shares the batch.
-#[allow(clippy::too_many_arguments)]
-fn score_branch<S: BranchScorer>(
-    branch: &TrainedBranch<S>,
-    encode_site: &'static str,
+/// semantics — bit-identical to the clean pipeline) or, with
+/// [`InferRun::pinned_scaling`], taken from the train-time scaler so scores
+/// do not depend on what else shares the batch.
+fn score_branch(
+    branch: &TrainedBranch,
     tensors: &[GraphTensors],
     kept: &[usize],
     threads: usize,
     latency_ns: &[AtomicU64],
-    pinned: bool,
+    run: InferRun,
 ) -> BranchOutcome {
+    let encode_site = branch.scorer.branch().names().encode_site;
     let m = tensors.len();
     let raw = par::try_par_map_indices(threads, m, |k| {
         let started = (!latency_ns.is_empty()).then(Instant::now);
@@ -556,7 +522,7 @@ fn score_branch<S: BranchScorer>(
         };
     }
 
-    let (scaled, scaler_refit) = match (pinned, &branch.scaler) {
+    let (scaled, scaler_refit) = match (run.pinned_scaling, &branch.scaler) {
         (true, Some(sc)) => (sc.scale_all(&finite_raw), false),
         (true, None) => {
             obs::counter_add("infer.scaler_fallbacks", 1);
@@ -621,15 +587,7 @@ fn score_branch<S: BranchScorer>(
 // ---------------------------------------------------------------------------
 
 const SEC_CONFIG: &str = "config";
-const SEC_GSG: &str = "gsg";
-const SEC_LDG: &str = "ldg";
-const SEC_GSG_CAL: &str = "gsg.cal";
-const SEC_LDG_CAL: &str = "ldg.cal";
 const SEC_CLASSIFIER: &str = "classifier";
-
-/// Every section a container may carry, for the save-time fault walk.
-const ALL_SECTIONS: [&str; 6] =
-    [SEC_CONFIG, SEC_GSG, SEC_LDG, SEC_GSG_CAL, SEC_LDG_CAL, SEC_CLASSIFIER];
 
 /// Apply any `corrupt@model.<section>` faults to serialised container
 /// bytes. `corrupt@model.calib` is an alias hitting both calibrator
@@ -638,7 +596,14 @@ fn apply_save_faults(bytes: &mut [u8]) {
     if !faults::active() {
         return;
     }
-    for name in ALL_SECTIONS {
+    // Every section a container may carry: config, the branch sections,
+    // the calibrator sections, classifier.
+    let sections = [SEC_CONFIG]
+        .into_iter()
+        .chain(Branch::ALL.map(|b| b.names().section))
+        .chain(Branch::ALL.map(|b| b.names().cal_section))
+        .chain([SEC_CLASSIFIER]);
+    for name in sections {
         let hit = faults::corrupts(&format!("model.{name}"))
             || (name.ends_with(".cal") && faults::corrupts("model.calib"));
         if hit {
@@ -679,39 +644,9 @@ impl TrainedModel {
         let mut s = SectionWriter::new();
         write_config(&self.config, &mut s);
         w.push(SEC_CONFIG, s);
-        // Calibrators live in their own sections (format version 2) so a
-        // damaged ensemble can be detected — and degraded around — without
-        // sacrificing the encoder weights stored beside it.
-        if let Some(b) = &self.gsg {
-            let mut s = SectionWriter::new();
-            write_branch(
-                &b.scorer.store,
-                b.calibrator.is_some(),
-                &b.scorer.history,
-                b.scaler.as_ref(),
-                &mut s,
-            );
-            w.push(SEC_GSG, s);
-            if let Some(cal) = &b.calibrator {
-                let mut s = SectionWriter::new();
-                cal.write(&mut s);
-                w.push(SEC_GSG_CAL, s);
-            }
-        }
-        if let Some(b) = &self.ldg {
-            let mut s = SectionWriter::new();
-            write_branch(
-                &b.scorer.store,
-                b.calibrator.is_some(),
-                &b.scorer.history,
-                b.scaler.as_ref(),
-                &mut s,
-            );
-            w.push(SEC_LDG, s);
-            if let Some(cal) = &b.calibrator {
-                let mut s = SectionWriter::new();
-                cal.write(&mut s);
-                w.push(SEC_LDG_CAL, s);
+        for branch in Branch::ALL {
+            if let Some(b) = branch.pick(&self.gsg, &self.ldg) {
+                b.write(&mut w);
             }
         }
         let mut s = SectionWriter::new();
@@ -776,89 +711,12 @@ impl TrainedModel {
         s.expect_end(SEC_CONFIG)?;
 
         let mut lost: Vec<LostSection> = Vec::new();
-        let load_branch = |enabled: bool,
-                           sec: &str,
-                           cal_sec: &str,
-                           lost: &mut Vec<LostSection>|
-         -> Result<Option<BranchParts>, ModelIoError> {
-            if !enabled {
-                return Ok(None);
-            }
-            let branch = (|| -> Result<RawBranchParts, ModelIoError> {
-                let mut s = r.section(sec)?;
-                let parts = read_branch(&mut s)?;
-                s.expect_end(sec)?;
-                Ok(parts)
-            })();
-            let (store, has_calibrator, history, scaler) = match branch {
-                Ok(parts) => parts,
-                Err(e) if strict => return Err(e),
-                // The error itself is the evidence: a ChecksumMismatch
-                // carries the stored/computed CRCs, MissingSection and
-                // Corrupt say what was wrong.
-                Err(e) => {
-                    lost.push(LostSection { name: sec.to_string(), reason: e.to_string() });
-                    return Ok(None);
-                }
-            };
-            let (calibrator, calibrator_lost) = if !has_calibrator {
-                // Trained without calibration: nothing to recover.
-                (None, false)
-            } else {
-                let read = (|| -> Result<AdaptiveCalibrator, ModelIoError> {
-                    let mut s = r.section(cal_sec)?;
-                    let cal = AdaptiveCalibrator::read(&mut s)?;
-                    s.expect_end(cal_sec)?;
-                    Ok(cal)
-                })();
-                match read {
-                    Ok(cal) => (Some(cal), false),
-                    // Strictly loading a file whose calibrator section is
-                    // missing or malformed fails like any other damage.
-                    Err(e) if strict => return Err(e),
-                    Err(e) => {
-                        lost.push(LostSection { name: cal_sec.to_string(), reason: e.to_string() });
-                        (None, true)
-                    }
-                }
-            };
-            Ok(Some((store, history, calibrator, calibrator_lost, scaler)))
-        };
-
-        let gsg_parts = load_branch(config.use_gsg, SEC_GSG, SEC_GSG_CAL, &mut lost)?;
-        let ldg_parts = load_branch(config.use_ldg, SEC_LDG, SEC_LDG_CAL, &mut lost)?;
-
-        let gsg = match gsg_parts {
-            Some((store, history, calibrator, calibrator_lost, scaler)) => {
-                match rebuild_gsg(&config, &store, history) {
-                    Ok(scorer) => {
-                        Some(TrainedBranch { scorer, calibrator, calibrator_lost, scaler })
-                    }
-                    Err(e) if strict => return Err(e),
-                    Err(e) => {
-                        lost.push(LostSection { name: SEC_GSG.to_string(), reason: e.to_string() });
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
-        let ldg = match ldg_parts {
-            Some((store, history, calibrator, calibrator_lost, scaler)) => {
-                match rebuild_ldg(&config, &store, history) {
-                    Ok(scorer) => {
-                        Some(TrainedBranch { scorer, calibrator, calibrator_lost, scaler })
-                    }
-                    Err(e) if strict => return Err(e),
-                    Err(e) => {
-                        lost.push(LostSection { name: SEC_LDG.to_string(), reason: e.to_string() });
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
-        if (config.use_gsg || config.use_ldg) && gsg.is_none() && ldg.is_none() {
+        let (mut gsg, mut ldg) = (None, None);
+        for branch in Branch::enabled_in(&config) {
+            *branch.pick(&mut gsg, &mut ldg) =
+                TrainedBranch::read(r, branch, &config, strict, &mut lost)?;
+        }
+        if gsg.is_none() && ldg.is_none() {
             return Err(ModelIoError::Corrupt {
                 context: "every encoder branch is unusable".to_string(),
             });
@@ -871,102 +729,136 @@ impl TrainedModel {
     }
 }
 
-fn write_branch(
-    store: &ParamStore,
-    has_calibrator: bool,
-    history: &[EpochStats],
-    scaler: Option<&ConfidenceScaler>,
-    s: &mut SectionWriter,
-) {
-    store.write_section(s);
-    // Records whether a calibrator section accompanies this branch, so a
-    // lenient load can tell "trained without calibration" apart from
-    // "calibrator section dropped as damaged".
-    s.put_bool(has_calibrator);
-    s.put_usize(history.len());
-    for e in history {
-        s.put_f32(e.loss);
-        s.put_f32(e.contrastive);
+impl TrainedBranch {
+    /// Push the encoder section and, when there is a calibrator, its own
+    /// section (format version 2), so a damaged ensemble can be detected —
+    /// and degraded around — without sacrificing the weights beside it.
+    fn write(&self, w: &mut ModelWriter) {
+        let names = self.scorer.branch().names();
+        let mut s = SectionWriter::new();
+        self.scorer.store.write_section(&mut s);
+        // Records whether a calibrator section accompanies this branch, so a
+        // lenient load can tell "trained without calibration" apart from
+        // "calibrator section dropped as damaged".
+        s.put_bool(self.calibrator.is_some());
+        s.put_usize(self.scorer.history.len());
+        for e in &self.scorer.history {
+            s.put_f32(e.loss);
+            s.put_f32(e.contrastive);
+        }
+        // Format v3: the train-time confidence scaler rides with the branch,
+        // so a serving process can pin scaling instead of refitting per batch.
+        s.put_bool(self.scaler.is_some());
+        if let Some(sc) = self.scaler {
+            s.put_f64(sc.mean);
+            s.put_f64(sc.std);
+        }
+        w.push(names.section, s);
+        if let Some(cal) = &self.calibrator {
+            let mut s = SectionWriter::new();
+            cal.write(&mut s);
+            w.push(names.cal_section, s);
+        }
     }
-    // Format v3: the train-time confidence scaler rides with the branch, so
-    // a serving process can pin scaling instead of refitting per batch.
-    s.put_bool(scaler.is_some());
-    if let Some(sc) = scaler {
-        s.put_f64(sc.mean);
-        s.put_f64(sc.std);
+
+    /// Read `branch` from its sections and rebuild its encoder. `strict`
+    /// propagates every failure; lenient mode records the lost section
+    /// instead, the error itself as the evidence (a checksum mismatch
+    /// carries the stored and computed CRCs). An unusable encoder section
+    /// costs the branch (`Ok(None)`), an unusable calibrator section only
+    /// its calibration.
+    fn read(
+        r: &ModelReader,
+        branch: Branch,
+        config: &Dbg4EthConfig,
+        strict: bool,
+        lost: &mut Vec<LostSection>,
+    ) -> Result<Option<Self>, ModelIoError> {
+        let names = branch.names();
+        let mut give_up = |name: &str, e: ModelIoError| {
+            if strict {
+                return Err(e);
+            }
+            lost.push(LostSection { name: name.to_string(), reason: e.to_string() });
+            Ok(None)
+        };
+        let read = (|| -> Result<_, ModelIoError> {
+            let mut s = r.section(names.section)?;
+            let store = ParamStore::read_section(&mut s)?;
+            let has_calibrator = s.get_bool()?;
+            let n = s.get_usize()?;
+            if n.saturating_mul(8) > s.remaining() {
+                return Err(ModelIoError::Truncated { context: "epoch history" });
+            }
+            let mut history = Vec::with_capacity(n);
+            for _ in 0..n {
+                history.push(EpochStats { loss: s.get_f32()?, contrastive: s.get_f32()? });
+            }
+            // Absent only in branch payloads written before v3: such models
+            // serve with batch-refitted scaling and flag pinned-scaling
+            // requests degraded.
+            let scaler = if s.remaining() > 0 && s.get_bool()? {
+                Some(ConfidenceScaler { mean: s.get_f64()?, std: s.get_f64()? })
+            } else {
+                None
+            };
+            s.expect_end(names.section)?;
+            Ok((store, has_calibrator, history, scaler))
+        })();
+        let (store, has_calibrator, history, scaler) = match read {
+            Ok(parts) => parts,
+            Err(e) => return give_up(names.section, e),
+        };
+        // Trained without calibration: nothing to recover.
+        let (mut calibrator, mut calibrator_lost) = (None, false);
+        if has_calibrator {
+            let read = (|| -> Result<AdaptiveCalibrator, ModelIoError> {
+                let mut s = r.section(names.cal_section)?;
+                let cal = AdaptiveCalibrator::read(&mut s)?;
+                s.expect_end(names.cal_section)?;
+                Ok(cal)
+            })();
+            match read {
+                Ok(cal) => calibrator = Some(cal),
+                Err(e) => {
+                    give_up(names.cal_section, e)?;
+                    calibrator_lost = true;
+                }
+            }
+        }
+        match rebuild(branch, config, &store, history) {
+            Ok(scorer) => Ok(Some(Self { scorer, calibrator, calibrator_lost, scaler })),
+            Err(e) => give_up(names.section, e),
+        }
     }
 }
 
-type BranchParts =
-    (ParamStore, Vec<EpochStats>, Option<AdaptiveCalibrator>, bool, Option<ConfidenceScaler>);
-
-type RawBranchParts = (ParamStore, bool, Vec<EpochStats>, Option<ConfidenceScaler>);
-
-fn read_branch(s: &mut SectionReader) -> Result<RawBranchParts, ModelIoError> {
-    let store = ParamStore::read_section(s)?;
-    let has_calibrator = s.get_bool()?;
-    let n = s.get_usize()?;
-    if n.saturating_mul(8) > s.remaining() {
-        return Err(ModelIoError::Truncated { context: "epoch history" });
-    }
-    let mut history = Vec::with_capacity(n);
-    for _ in 0..n {
-        history.push(EpochStats { loss: s.get_f32()?, contrastive: s.get_f32()? });
-    }
-    // Absent only in branch payloads written before v3: such models serve
-    // with batch-refitted scaling and flag pinned-scaling requests degraded.
-    let scaler = if s.remaining() > 0 && s.get_bool()? {
-        Some(ConfidenceScaler { mean: s.get_f64()?, std: s.get_f64()? })
-    } else {
-        None
-    };
-    Ok((store, has_calibrator, history, scaler))
-}
-
-/// Rebuild an encoder from saved weights: construct a fresh architecture
-/// from the saved configuration (the throwaway RNG only sets initial values
-/// that are then overwritten) and restore every parameter by name and
-/// shape. Anything short of a complete restoration means weights and
-/// configuration disagree — a typed error, not a silently wrong model.
-fn rebuild_gsg(
+/// Rebuild a branch's encoder from saved weights: construct a fresh
+/// architecture from the saved configuration (the throwaway RNG only sets
+/// initial values that are then overwritten) and restore every parameter by
+/// name and shape. Anything short of a complete restoration means weights
+/// and configuration disagree — a typed error, not a silently wrong model.
+/// The configuration's upper bounds ([`Dbg4EthConfig::validate`]) cap what
+/// the fresh architecture can allocate.
+fn rebuild(
+    branch: Branch,
     config: &Dbg4EthConfig,
     loaded: &ParamStore,
     history: Vec<EpochStats>,
-) -> Result<TrainedGsg, ModelIoError> {
+) -> Result<TrainedEncoder, ModelIoError> {
     let mut store = ParamStore::new();
-    let encoder = GsgEncoder::new(&mut store, &mut StdRng::seed_from_u64(0), config.gsg);
-    check_restore("GSG", store.restore_from(loaded), store.len(), loaded.len())?;
-    Ok(TrainedGsg { store, encoder, history })
-}
-
-fn rebuild_ldg(
-    config: &Dbg4EthConfig,
-    loaded: &ParamStore,
-    history: Vec<EpochStats>,
-) -> Result<TrainedLdg, ModelIoError> {
-    let mut store = ParamStore::new();
-    let mut ldg_cfg = config.ldg;
-    ldg_cfg.t_slices = config.t_slices;
-    let encoder = LdgEncoder::new(&mut store, &mut StdRng::seed_from_u64(0), ldg_cfg);
-    check_restore("LDG", store.restore_from(loaded), store.len(), loaded.len())?;
-    Ok(TrainedLdg { store, encoder, history })
-}
-
-fn check_restore(
-    branch: &str,
-    restored: usize,
-    expected: usize,
-    saved: usize,
-) -> Result<(), ModelIoError> {
+    let encoder = Encoder::new(branch, config, &mut store, &mut StdRng::seed_from_u64(0));
+    let (restored, expected, saved) = (store.restore_from(loaded), store.len(), loaded.len());
     if restored != expected || saved != expected {
         return Err(ModelIoError::Corrupt {
             context: format!(
-                "{branch} weights do not match the saved configuration \
-                 ({restored}/{expected} parameters restored, {saved} saved)"
+                "{} weights do not match the saved configuration \
+                 ({restored}/{expected} parameters restored, {saved} saved)",
+                branch.names().label
             ),
         });
     }
-    Ok(())
+    Ok(TrainedEncoder { store, encoder, history })
 }
 
 // ---------------------------------------------------------------------------
@@ -1230,6 +1122,28 @@ mod tests {
         assert_eq!(format!("{c:?}"), format!("{loaded:?}"));
     }
 
+    /// Load `bytes` strictly, leniently and from a file; each must fail with
+    /// a typed `Corrupt` whose context names `needle`.
+    fn assert_corrupt_on_every_load(bytes: &[u8], file_tag: &str, needle: &str) {
+        let path =
+            std::env::temp_dir().join(format!("dbg4eth-{file_tag}-{}.dbgm", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let loads = [
+            ("strict", TrainedModel::from_bytes(bytes).err()),
+            ("lenient", TrainedModel::from_bytes_degraded(bytes).err()),
+            ("file", TrainedModel::load(&path).err()),
+        ];
+        std::fs::remove_file(&path).unwrap();
+        for (load, err) in loads {
+            match err {
+                Some(ModelIoError::Corrupt { context }) => {
+                    assert!(context.contains(needle), "{file_tag}, {load} load: {context}")
+                }
+                other => panic!("{file_tag}, {load} load: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
     /// Tag 1 (a model trained under the removed Fast profile) and unknown
     /// tags are typed errors on strict, lenient and file loads alike.
     #[test]
@@ -1240,25 +1154,35 @@ mod tests {
             write_config_pre_numerics(&Dbg4EthConfig::fast(), &mut s);
             s.put_u8(tag);
             w.push(SEC_CONFIG, s);
-            let bytes = w.to_bytes();
-            let path = std::env::temp_dir()
-                .join(format!("dbg4eth-numerics-tag-{tag}-{}.dbgm", std::process::id()));
-            std::fs::write(&path, &bytes).unwrap();
-            let loads = [
-                ("strict", TrainedModel::from_bytes(&bytes).err()),
-                ("lenient", TrainedModel::from_bytes_degraded(&bytes).err()),
-                ("file", TrainedModel::load(&path).err()),
-            ];
-            std::fs::remove_file(&path).unwrap();
-            for (load, err) in loads {
-                match err {
-                    Some(ModelIoError::Corrupt { context }) => {
-                        assert!(context.contains(names), "tag {tag}, {load} load: {context}")
-                    }
-                    other => panic!("tag {tag}, {load} load: expected Corrupt, got {other:?}"),
-                }
-            }
+            assert_corrupt_on_every_load(&w.to_bytes(), &format!("numerics-tag-{tag}"), names);
         }
+    }
+
+    /// A 304-byte container with valid checksums: its config asks for a GSG
+    /// of hidden width 32768 with one head, and its `gsg` section holds an
+    /// empty parameter store. Rebuilding that encoder before comparing it
+    /// with the stored weights would allocate 4 GiB (one 32768×32768
+    /// attention weight); the config's upper bounds must refuse it before
+    /// anything is built.
+    #[test]
+    fn oversized_encoder_container_is_a_typed_error() {
+        let mut c = Dbg4EthConfig::fast();
+        c.gsg.hidden = 32768;
+        c.gsg.heads = 1;
+        c.use_ldg = false;
+        let mut w = ModelWriter::new();
+        let mut s = SectionWriter::new();
+        write_config(&c, &mut s);
+        w.push(SEC_CONFIG, s);
+        let mut s = SectionWriter::new();
+        ParamStore::new().write_section(&mut s);
+        s.put_bool(false); // no calibrator
+        s.put_usize(0); // no epoch history
+        s.put_bool(false); // no pinned scaler
+        w.push(Branch::Gsg.names().section, s);
+        let bytes = w.to_bytes();
+        assert_eq!(bytes.len(), 304);
+        assert_corrupt_on_every_load(&bytes, "oversized-encoder", "hidden 32768");
     }
 
     #[test]
@@ -1277,11 +1201,24 @@ mod tests {
         assert!(matches!(round_trip_config(&c), Err(ModelIoError::Corrupt { .. })));
     }
 
+    /// `Session::train` persists its classifier, so the Fig. 7 comparison
+    /// classifiers are a typed configuration error there, before any data
+    /// is touched; `run` keeps accepting all five.
     #[test]
-    #[should_panic(expected = "persistable GBDT classifiers")]
     fn non_gbdt_classifier_is_rejected_at_train() {
-        let mut c = Dbg4EthConfig::fast();
-        c.classifier = ClassifierKind::Mlp;
-        classifier_config(&c);
+        let empty = GraphDataset { class: eth_sim::AccountClass::Exchange, graphs: Vec::new() };
+        for kind in [ClassifierKind::RandomForest, ClassifierKind::AdaBoost, ClassifierKind::Mlp] {
+            let mut c = Dbg4EthConfig::fast();
+            c.classifier = kind;
+            match crate::Session::train(&empty, 0.7, &c) {
+                Err(crate::Error::Config(crate::ConfigError::NotPersistable(k))) => {
+                    assert_eq!(k, kind)
+                }
+                Err(e) => panic!("{}: unexpected error {e}", kind.name()),
+                Ok(_) => panic!("{} trained on an empty dataset", kind.name()),
+            }
+        }
+        assert!(gbdt_config(ClassifierKind::LightGbm).is_some());
+        assert!(gbdt_config(ClassifierKind::XgBoost).is_some());
     }
 }

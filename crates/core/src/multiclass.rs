@@ -8,8 +8,8 @@
 //! distributions (per-class calibration of multiclass confidences is left
 //! as future work, mirroring the paper's binary-only calibration).
 
+use crate::branch::{train_branch, Branch};
 use crate::config::Dbg4EthConfig;
-use crate::trainer::{train_gsg, train_ldg};
 use eth_graph::Subgraph;
 use gnn::GraphTensors;
 use rand::rngs::StdRng;
@@ -69,18 +69,9 @@ fn branch_dists(
     cfg: &Dbg4EthConfig,
 ) -> Vec<Vec<Vec<f32>>> {
     let threads = cfg.threads();
-    let branches: Vec<bool> = [(cfg.use_gsg, true), (cfg.use_ldg, false)]
-        .into_iter()
-        .filter_map(|(enabled, gsg)| enabled.then_some(gsg))
-        .collect();
-    par::par_map(threads, &branches, |&gsg| {
-        if gsg {
-            let trained = train_gsg(train_graphs, cfg);
-            par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
-        } else {
-            let trained = train_ldg(train_graphs, cfg);
-            par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
-        }
+    par::par_map(threads, &Branch::enabled_in(cfg), |&branch| {
+        let trained = train_branch(branch, train_graphs, cfg);
+        par::par_map(threads, test_graphs, |g| softmax(&trained.logits(g)))
     })
 }
 
@@ -249,8 +240,8 @@ mod tests {
         let dists = branch_dists(&refs, &refs, &cfg);
         assert_eq!(dists.len(), 2, "both branches enabled");
 
-        let gsg = train_gsg(&refs, &cfg);
-        let ldg = train_ldg(&refs, &cfg);
+        let gsg = train_branch(Branch::Gsg, &refs, &cfg);
+        let ldg = train_branch(Branch::Ldg, &refs, &cfg);
         let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         for (k, g) in refs.iter().enumerate() {
             assert_eq!(bits(&dists[0][k]), bits(&softmax(&gsg.logits(g))), "GSG graph {k}");

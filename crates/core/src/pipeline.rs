@@ -1,8 +1,8 @@
 //! The end-to-end DBG4ETH pipeline (Fig. 2): double-graph encoders →
 //! confidence generation → adaptive calibration → account classification.
 
+use crate::branch::{train_branch, Branch, BranchScorer, EpochStats, TrainedEncoder};
 use crate::config::{ClassifierKind, Dbg4EthConfig, FeatureMode};
-use crate::trainer::{train_gsg, train_ldg, BranchScorer, EpochStats, TrainedGsg, TrainedLdg};
 use boost::{
     AdaBoost, AdaBoostConfig, ForestConfig, Gbdt, GbdtConfig, MlpClassifier, MlpClassifierConfig,
     RandomForest,
@@ -79,7 +79,8 @@ pub fn fit_predict_classifier(
     }
 }
 
-pub(crate) struct Branch {
+/// One branch's calibration-stage output.
+pub(crate) struct Calibrated {
     pub(crate) holdout_p: Vec<f64>,
     pub(crate) test_p: Vec<f64>,
     /// The fitted adaptive ensemble (`None` when calibration is disabled),
@@ -94,7 +95,7 @@ fn calibrate_branch(
     encoding: &BranchEncoding,
     holdout_labels: &[bool],
     config: &Dbg4EthConfig,
-) -> Branch {
+) -> Calibrated {
     let _span = obs::span("pipeline.calibrate");
     // Stage 1 — confidence generation: "scale the predicted values
     // according to their mean and standard deviation" (Section IV-C1).
@@ -107,7 +108,7 @@ fn calibrate_branch(
     let base_ece = ece(&holdout_s, holdout_labels, ECE_BINS);
 
     if !config.calibration.enabled {
-        return Branch {
+        return Calibrated {
             holdout_p: holdout_s.clone(),
             test_p: test_s,
             calibrator: None,
@@ -139,7 +140,7 @@ fn calibrate_branch(
         calibrated_ece,
         epochs: encoding.epochs.clone(),
     };
-    Branch { holdout_p, test_p, calibrator: Some(cal), diagnostics }
+    Calibrated { holdout_p, test_p, calibrator: Some(cal), diagnostics }
 }
 
 /// Encoder-stage output: raw prediction values per branch, before the
@@ -172,40 +173,40 @@ pub struct BranchEncoding {
 /// [`crate::Session::train`] (which additionally keeps the fitted
 /// calibrators and classifier).
 pub(crate) struct CalibratedBranches {
-    pub(crate) branches: Vec<Branch>,
-    pub(crate) gsg: Option<BranchDiagnostics>,
-    pub(crate) ldg: Option<BranchDiagnostics>,
+    /// Every enabled branch's calibration, in pipeline order.
+    pub(crate) branches: Vec<(Branch, Calibrated)>,
     pub(crate) train_features: Vec<Vec<f64>>,
     pub(crate) test_features: Vec<Vec<f64>>,
+}
+
+impl CalibratedBranches {
+    fn diagnostics(&self, branch: Branch) -> Option<BranchDiagnostics> {
+        self.branches.iter().find(|(b, _)| *b == branch).map(|(_, c)| c.diagnostics.clone())
+    }
 }
 
 pub(crate) fn calibrate_branches(
     encoded: &EncodedDataset,
     config: &Dbg4EthConfig,
 ) -> CalibratedBranches {
-    let mut branches: Vec<Branch> = Vec::new();
-    let mut gsg_diag = None;
-    let mut ldg_diag = None;
-    if config.use_gsg {
-        let encoding = encoded.gsg.as_ref().expect("GSG branch not encoded");
-        let branch = calibrate_branch(encoding, &encoded.holdout_labels, config);
-        gsg_diag = Some(branch.diagnostics.clone());
-        branches.push(branch);
-    }
-    if config.use_ldg {
-        let encoding = encoded.ldg.as_ref().expect("LDG branch not encoded");
-        let branch = calibrate_branch(encoding, &encoded.holdout_labels, config);
-        ldg_diag = Some(branch.diagnostics.clone());
-        branches.push(branch);
-    }
+    let branches: Vec<(Branch, Calibrated)> = Branch::enabled_in(config)
+        .into_iter()
+        .map(|branch| {
+            let encoding = branch
+                .pick(&encoded.gsg, &encoded.ldg)
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} branch not encoded", branch.names().label));
+            (branch, calibrate_branch(encoding, &encoded.holdout_labels, config))
+        })
+        .collect();
     assert!(!branches.is_empty(), "at least one branch required");
 
-    let stack = |get: &dyn Fn(&Branch) -> &Vec<f64>, n: usize| -> Vec<Vec<f64>> {
-        (0..n).map(|r| branches.iter().map(|b| get(b)[r]).collect()).collect()
+    let stack = |get: &dyn Fn(&Calibrated) -> &Vec<f64>, n: usize| -> Vec<Vec<f64>> {
+        (0..n).map(|r| branches.iter().map(|(_, c)| get(c)[r]).collect()).collect()
     };
-    let train_features = stack(&|b| &b.holdout_p, encoded.holdout_labels.len());
-    let test_features = stack(&|b| &b.test_p, encoded.test_labels.len());
-    CalibratedBranches { branches, gsg: gsg_diag, ldg: ldg_diag, train_features, test_features }
+    let train_features = stack(&|c| &c.holdout_p, encoded.holdout_labels.len());
+    let test_features = stack(&|c| &c.test_p, encoded.test_labels.len());
+    CalibratedBranches { branches, train_features, test_features }
 }
 
 /// Package classifier scores plus the calibration-stage artefacts into the
@@ -228,8 +229,8 @@ pub(crate) fn assemble_output(
         metrics,
         test_scores,
         test_labels: encoded.test_labels.clone(),
-        gsg: cal.gsg.clone(),
-        ldg: cal.ldg.clone(),
+        gsg: cal.diagnostics(Branch::Gsg),
+        ldg: cal.diagnostics(Branch::Ldg),
         train_features: cal.train_features.clone(),
         train_labels: encoded.holdout_labels.clone(),
         test_features: cal.test_features.clone(),
@@ -304,65 +305,20 @@ pub(crate) fn lower_one(g: &eth_graph::Subgraph, config: &Dbg4EthConfig) -> Grap
     }
 }
 
-/// Everything [`encode`] computes plus the trained full-split encoders,
-/// which [`crate::Session::train`] packages into a persistable
-/// [`crate::TrainedModel`].
-pub(crate) struct EncodeOutput {
-    pub(crate) encoded: EncodedDataset,
-    pub(crate) gsg: Option<TrainedGsg>,
-    pub(crate) ldg: Option<TrainedLdg>,
-}
-
-/// A fitted encoder of either branch, so one task list can train both.
-enum Fitted {
-    Gsg(TrainedGsg),
-    Ldg(TrainedLdg),
-}
-
-impl Fitted {
-    fn scorer(&self) -> &dyn BranchScorer {
-        match self {
-            Self::Gsg(m) => m,
-            Self::Ldg(m) => m,
-        }
-    }
-}
-
-/// One task of [`encode_with_models`]: train one branch's encoder on `fit`,
-/// then score each split of `score` with it, in order. The encoder seeds
-/// its own `StdRng` from `config.seed`, so the task's output depends only
-/// on its identity, never on the thread that runs it or what runs beside.
-fn fit_and_score(
-    gsg: bool,
-    fit: &[&GraphTensors],
-    score: &[&[&GraphTensors]],
-    config: &Dbg4EthConfig,
-    threads: usize,
-) -> (Fitted, Vec<Vec<f64>>) {
-    let fitted =
-        if gsg { Fitted::Gsg(train_gsg(fit, config)) } else { Fitted::Ldg(train_ldg(fit, config)) };
-    let raw = score
-        .iter()
-        .map(|graphs| {
-            let _span = obs::span("pipeline.encode.score");
-            fitted.scorer().raw_scores(graphs, threads)
-        })
-        .collect();
-    (fitted, raw)
-}
-
 /// Stage 1-2 of the pipeline: lower the graphs, split, train the enabled
 /// branches and compute their raw prediction values.
 pub fn encode(dataset: &GraphDataset, train_frac: f64, config: &Dbg4EthConfig) -> EncodedDataset {
-    encode_with_models(dataset, train_frac, config).encoded
+    encode_with_models(dataset, train_frac, config).0
 }
 
-/// [`encode`], additionally returning the trained full-split encoders.
+/// [`encode`], additionally returning the trained full-split encoder of
+/// each enabled branch, in pipeline order, which [`crate::Session::train`]
+/// packages into a persistable [`crate::TrainedModel`].
 pub(crate) fn encode_with_models(
     dataset: &GraphDataset,
     train_frac: f64,
     config: &Dbg4EthConfig,
-) -> EncodeOutput {
+) -> (EncodedDataset, Vec<TrainedEncoder>) {
     assert!(config.use_gsg || config.use_ldg, "at least one branch required");
     let _span = obs::span("pipeline.encode");
     let threads = config.threads();
@@ -465,36 +421,42 @@ pub(crate) fn encode_with_models(
         } else {
             vec![(&fit_graphs, vec![&holdout_graphs, &test_graphs])]
         };
-    // One flat task list over (enabled branch × fit), branch-major. The
-    // branches have separate parameter stores and seed streams, so every
-    // task is independent, and any fan-out inside one runs inline on its
-    // worker. A full-split fit costs about as much as its branch's two fold
-    // fits together, so on two workers each branch's tasks split evenly.
-    let branches: Vec<bool> = [(config.use_gsg, true), (config.use_ldg, false)]
-        .into_iter()
-        .filter_map(|(enabled, gsg)| enabled.then_some(gsg))
-        .collect();
+    // One flat task list over (enabled branch × fit), branch-major. Each
+    // task trains one branch's encoder on its fit split, then scores each of
+    // its splits in order. The branches have separate parameter stores and
+    // seed streams, each seeded from `config.seed` alone, so a task's output
+    // depends only on its identity, and any fan-out inside one runs inline
+    // on its worker. A full-split fit costs about as much as its branch's
+    // two fold fits together, so on two workers each branch's tasks split
+    // evenly.
+    let branches = Branch::enabled_in(config);
     let outs = par::par_map_indices(threads, branches.len() * fits.len(), |t| {
         let (fit, score) = &fits[t % fits.len()];
-        fit_and_score(branches[t / fits.len()], fit, score, config, threads)
+        let model = train_branch(branches[t / fits.len()], fit, config);
+        let raw: Vec<Vec<f64>> = score
+            .iter()
+            .map(|graphs| {
+                let _span = obs::span("pipeline.encode.score");
+                model.raw_scores(graphs, threads)
+            })
+            .collect();
+        (model, raw)
     });
 
     let mut encoded = EncodedDataset { gsg: None, ldg: None, holdout_labels, test_labels };
-    let (mut gsg_model, mut ldg_model) = (None, None);
+    let mut models = Vec::with_capacity(branches.len());
     let mut outs = outs.into_iter();
-    for _ in &branches {
-        let (fitted, mut raw) = outs.next().expect("the full-split fit");
+    for branch in branches {
+        let (model, mut raw) = outs.next().expect("the full-split fit");
         let test_raw = raw.pop().expect("the full-split encoder scores the test split");
         let folds = outs.by_ref().take(fits.len() - 1).flat_map(|(_, raw)| raw);
         let holdout_raw = raw.into_iter().chain(folds).flatten().collect();
-        let encoding =
-            BranchEncoding { holdout_raw, test_raw, epochs: fitted.scorer().history().to_vec() };
-        match fitted {
-            Fitted::Gsg(m) => (encoded.gsg, gsg_model) = (Some(encoding), Some(m)),
-            Fitted::Ldg(m) => (encoded.ldg, ldg_model) = (Some(encoding), Some(m)),
-        }
+        let epochs = model.history.clone();
+        *branch.pick(&mut encoded.gsg, &mut encoded.ldg) =
+            Some(BranchEncoding { holdout_raw, test_raw, epochs });
+        models.push(model);
     }
-    EncodeOutput { encoded, gsg: gsg_model, ldg: ldg_model }
+    (encoded, models)
 }
 
 #[cfg(test)]

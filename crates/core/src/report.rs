@@ -10,6 +10,7 @@
 //! complete multi-run report. See DESIGN.md ("Observability") for the
 //! schema.
 
+use crate::branch::Branch;
 use crate::config::Dbg4EthConfig;
 use crate::pipeline::{BranchDiagnostics, RunOutput};
 use obs::{Json, Report};
@@ -59,11 +60,10 @@ pub fn run_json(label: &str, config: &Dbg4EthConfig, out: &RunOutput) -> Json {
     run.set("metrics", metrics);
 
     let mut branches = Json::obj();
-    if let Some(d) = &out.gsg {
-        branches.set("gsg", branch_json(d));
-    }
-    if let Some(d) = &out.ldg {
-        branches.set("ldg", branch_json(d));
+    for branch in Branch::ALL {
+        if let Some(d) = branch.pick(&out.gsg, &out.ldg) {
+            branches.set(branch.names().section, branch_json(d));
+        }
     }
     run.set("branches", branches);
     run

@@ -1,8 +1,7 @@
 //! The serving-session handle: one loaded (or freshly trained) model plus
 //! everything needed to score accounts with it.
 //!
-//! [`Session`] is the one train/serve surface — the free-function trio
-//! `train` / `infer` / `infer_detailed` it replaced is gone:
+//! [`Session`] is the one train/serve surface:
 //!
 //! ```no_run
 //! use dbg4eth::{InferOptions, Session};
@@ -20,7 +19,9 @@
 
 use crate::config::{ConfigError, Dbg4EthConfig};
 use crate::error::Error;
-use crate::model::{infer_impl, train_impl, DegradedLoad, InferReport, InferRun, TrainedModel};
+use crate::model::{
+    gbdt_config, infer_impl, train_impl, DegradedLoad, InferReport, InferRun, TrainedModel,
+};
 use crate::pipeline::RunOutput;
 use eth_graph::Subgraph;
 use eth_sim::GraphDataset;
@@ -67,7 +68,8 @@ impl Session {
     ///
     /// Validates `config` and `train_frac` up front, so a bad setting is a
     /// typed [`enum@Error`] instead of a panic inside an encoder
-    /// constructor.
+    /// constructor. The classifier must be one a model can persist, a GBDT
+    /// ([`ConfigError::NotPersistable`] otherwise).
     pub fn train(
         dataset: &GraphDataset,
         train_frac: f64,
@@ -77,7 +79,9 @@ impl Session {
         if !(train_frac > 0.0 && train_frac < 1.0) {
             return Err(ConfigError::TrainFrac(train_frac).into());
         }
-        let out = train_impl(dataset, train_frac, config);
+        let gbdt =
+            gbdt_config(config.classifier).ok_or(ConfigError::NotPersistable(config.classifier))?;
+        let out = train_impl(dataset, train_frac, config, gbdt);
         Ok((Self::from_model(out.model), out.run))
     }
 

@@ -9,7 +9,7 @@
 //! cargo run --release -p dbg4eth --example evolution_analysis
 //! ```
 
-use dbg4eth::{train_ldg, Dbg4EthConfig};
+use dbg4eth::{train_branch, Branch, Dbg4EthConfig};
 use eth_graph::SamplerConfig;
 use eth_sim::{AccountClass, Benchmark, DatasetScale, POSITIVE};
 use gnn::GraphTensors;
@@ -29,7 +29,7 @@ fn main() {
             .map(|g| GraphTensors::from_subgraph(g, cfg.t_slices))
             .collect();
         let refs: Vec<&GraphTensors> = graphs.iter().collect();
-        let trained = train_ldg(&refs, &cfg);
+        let trained = train_branch(Branch::Ldg, &refs, &cfg);
         // The attention logits are a trained parameter; softmax them.
         let id = trained.store.find("ldg.time_attn").expect("attention parameter");
         let logits = trained.store.value(id);

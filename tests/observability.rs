@@ -92,6 +92,46 @@ fn encode_self_time_decomposes_exactly_at_one_thread() {
     assert!(gsg.self_ns <= gsg.total_ns);
 }
 
+/// perfbench's per-layer table reads these names from a training run; a
+/// renamed span or counter would read as 0 there without failing anything
+/// else, so one `Session::train` must record every one of them.
+#[test]
+fn training_records_the_per_branch_metrics_perfbench_reads() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    obs::reset();
+    obs::set_metrics_enabled(true);
+    let bench = tiny_bench(24);
+    Session::train(bench.dataset(AccountClass::Exchange), 0.7, &tiny_config())
+        .expect("training succeeds");
+    let snap = obs::snapshot();
+    obs::set_metrics_enabled(false);
+    obs::reset();
+
+    for span in [
+        "train.gsg.forward",
+        "train.gsg.backward",
+        "train.ldg.forward",
+        "train.ldg.backward",
+        "encode.batch",
+        "pipeline.encode.score",
+    ] {
+        assert!(snap.spans.get(span).is_some_and(|s| s.count > 0), "span {span} not recorded");
+    }
+    for counter in [
+        "train.gsg.pool.allocated_bytes",
+        "train.ldg.pool.allocated_bytes",
+        "train.gsg.tape_ops",
+        "train.ldg.tape_ops",
+    ] {
+        assert!(
+            snap.counters.get(counter).is_some_and(|&v| v > 0),
+            "counter {counter} not recorded"
+        );
+    }
+    let gauge = "train.ldg.pool.high_water_buffers";
+    assert!(snap.gauges.get(gauge).is_some_and(|&v| v > 0.0), "gauge {gauge} not recorded");
+}
+
 /// Serving-path latency: one histogram observation per scored account,
 /// with finite, ordered quantiles — and the same count at 1 and 4 threads.
 #[test]
