@@ -282,6 +282,7 @@ pub fn train_branch(
             &format!("{prefix}.pool.high_water_buffers"),
             stats.high_water_buffers as f64,
         );
+        obs::gauge_max(&format!("{prefix}.pool.peak_live_bytes"), stats.peak_live_bytes as f64);
     }
     TrainedEncoder { store, encoder, history }
 }
@@ -320,10 +321,10 @@ impl TrainedEncoder {
     /// The tape is forward-only ([`Tape::scoring`]): the LDG encoder hands
     /// each time slice's dead activations back to the pool at the slice's
     /// end, so the pool holds about one slice rather than all `T`. With
-    /// metrics on, the pool's lifetime allocation and buffer high-water mark
-    /// are recorded as the `score.pool.allocated_bytes` and
-    /// `score.pool.high_water_buffers` gauges (the maximum over scoring
-    /// threads).
+    /// metrics on, the pool's lifetime allocation, buffer high-water mark
+    /// and live peak are recorded as the `score.pool.allocated_bytes`,
+    /// `score.pool.high_water_buffers` and `score.pool.peak_live_bytes`
+    /// gauges (the maximum over scoring threads).
     pub fn logits(&self, graph: &GraphTensors) -> Vec<f32> {
         // Each scoring worker thread keeps its own buffer pool, so parallel
         // inference reuses allocations without sharing state across threads.
@@ -350,6 +351,7 @@ impl TrainedEncoder {
                 let stats = recycled.stats();
                 obs::gauge_max("score.pool.allocated_bytes", stats.allocated_bytes as f64);
                 obs::gauge_max("score.pool.high_water_buffers", stats.high_water_buffers as f64);
+                obs::gauge_max("score.pool.peak_live_bytes", stats.peak_live_bytes as f64);
             }
             *pool.borrow_mut() = recycled;
             row

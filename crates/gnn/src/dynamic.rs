@@ -327,9 +327,9 @@ mod tests {
     }
 
     /// A scoring tape releases each slice's dead activations without
-    /// moving an output bit, and its pool holds about one slice: ten slices
-    /// allocate less than twice what two do, where a tape that keeps every
-    /// activation grows with the slice count.
+    /// moving an output bit, and holds about one slice live: ten slices
+    /// peak at less than twice the live bytes of two, where a tape that
+    /// keeps every activation grows with the slice count.
     #[test]
     fn scoring_tape_matches_training_tape_and_holds_one_slice() {
         let g = ring(24, 1, false);
@@ -352,17 +352,17 @@ mod tests {
                 assert_eq!(s_emb, emb, "embedding moved: {what}, {layers} pool layers");
             }
 
-            let allocated = |t_slices: usize| {
+            let live = |t_slices: usize| {
                 let (store, enc) = encoder_with_slices(layers, t_slices);
                 let batch = LdgBatch::pack(&[&full], t_slices);
                 let (.., pool) =
                     run_forward(&enc, &store, &batch, Tape::scoring(BufferPool::new()));
-                pool.stats().allocated_bytes
+                pool.stats().peak_live_bytes
             };
-            let (two, ten) = (allocated(2), allocated(10));
+            let (two, ten) = (live(2), live(10));
             assert!(
                 ten < 2 * two,
-                "{layers} pool layers: 10 slices allocated {ten} B, 2 slices {two} B"
+                "{layers} pool layers: 10 slices peak at {ten} live B, 2 slices {two} B"
             );
         }
     }
@@ -417,15 +417,16 @@ mod tests {
     }
 
     /// A training tape frees each slice's values that its backward never
-    /// reads, so its pool grows with the slice count more slowly than the
-    /// tape does. One training step (forward, cross-entropy, backward) over
-    /// ten slices allocates under 3.4× what two slices do; 2.97–3.02× with
-    /// the release, 3.92–3.99× when a training tape keeps every value.
+    /// reads, so its live bytes grow with the slice count more slowly than
+    /// the tape does. One training step (forward, cross-entropy, backward)
+    /// over ten slices peaks under 3.4× the live bytes of two slices;
+    /// 3.06–3.24× with the release, 3.84× or more when a training tape
+    /// keeps every value.
     #[test]
     fn training_tape_frees_what_backward_never_reads() {
         let full = GraphTensors::from_subgraph(&ring(24, 1, false), 10);
         for layers in 1..=3 {
-            let allocated = |t_slices: usize| {
+            let live = |t_slices: usize| {
                 let (store, enc) = encoder_with_slices(layers, t_slices);
                 let batch = LdgBatch::pack(&[&full], t_slices);
                 let mut tape = Tape::with_pool(BufferPool::new());
@@ -433,12 +434,12 @@ mod tests {
                 let out = enc.forward_batch(&mut tape, &mut ctx, &store, &batch);
                 let loss = tape.cross_entropy(out.logits, Arc::new(vec![1]));
                 tape.backward(loss);
-                tape.into_pool().stats().allocated_bytes
+                tape.into_pool().stats().peak_live_bytes
             };
-            let (two, ten) = (allocated(2), allocated(10));
+            let (two, ten) = (live(2), live(10));
             assert!(
                 ten * 10 < two * 34,
-                "{layers} pool layers: 10 slices allocated {ten} B, 2 slices {two} B"
+                "{layers} pool layers: 10 slices peak at {ten} live B, 2 slices {two} B"
             );
         }
     }

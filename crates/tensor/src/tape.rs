@@ -19,13 +19,14 @@
 //! ## Buffer pool
 //!
 //! Every op output and every backward temporary is drawn from a
-//! [`BufferPool`] — a free list of `Vec<f32>` buffers bucketed by
-//! power-of-two size class. Shapes repeat heavily across batches and
-//! epochs, so a tape constructed with [`Tape::with_pool`] and recycled with
-//! [`Tape::into_pool`] serves nearly all allocations from the pool after
-//! the first pass. Pooling is invisible to the numerics: a reused buffer is
-//! either fully zeroed or fully overwritten before use, so values are
-//! bit-identical to a fresh-allocation run.
+//! [`BufferPool`] — a free list of `Vec<f32>` buffers in size classes,
+//! where a request may take a somewhat larger buffer or grow a smaller one.
+//! Shapes repeat heavily across batches and epochs, so a tape constructed
+//! with [`Tape::with_pool`] and recycled with [`Tape::into_pool`] serves
+//! nearly all allocations from the pool after the first pass. Pooling is
+//! invisible to the numerics: a reused buffer is either fully zeroed or
+//! fully overwritten before use, so values are bit-identical to a
+//! fresh-allocation run.
 //!
 //! A value is dead once its last forward consumer has run, unless a
 //! backward arm still reads it. A caller that knows where a stage ends (the
@@ -38,35 +39,11 @@
 use crate::csr::Csr;
 use crate::exact;
 use crate::tensor::{gemm_nn, gemm_tn, transpose_into, Tensor};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(pub(crate) usize);
-
-/// Trivial hasher for the pool's `usize` size-class keys. The pool is
-/// consulted for every op output and backward temporary, at which rate the
-/// default SipHash is measurable in profiles; a Fibonacci multiply spreads
-/// the (highly regular) size classes across the map's buckets just as well.
-#[derive(Default)]
-struct LenHasher(u64);
-
-impl std::hash::Hasher for LenHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("pool keys hash through write_usize");
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type LenMap = HashMap<usize, Vec<Vec<f32>>, std::hash::BuildHasherDefault<LenHasher>>;
 
 /// Lifetime counters of a [`BufferPool`], for resource telemetry in the
 /// run-report. Plain integers on the (single-owner) pool — no atomics, no
@@ -77,10 +54,14 @@ type LenMap = HashMap<usize, Vec<Vec<f32>>, std::hash::BuildHasherDefault<LenHas
 pub struct PoolStats {
     /// Buffer requests served from the free list.
     pub hits: u64,
-    /// Buffer requests that fell through to a fresh allocation.
+    /// Buffer requests that fell through to the allocator.
     pub misses: u64,
-    /// Bytes of fresh buffer allocations (misses only — reuse is free).
+    /// Bytes obtained from the allocator: fresh buffers, and each growth's
+    /// increase (reuse is free). The pool's footprint.
     pub allocated_bytes: u64,
+    /// Most bytes ever handed out and not yet given back, whichever
+    /// buffers served them: the live peak the footprint is measured against.
+    pub peak_live_bytes: u64,
     /// Most buffers ever parked in the free list at once.
     pub high_water_buffers: u64,
     /// Tape nodes recorded by every tape recycled into this pool
@@ -88,32 +69,44 @@ pub struct PoolStats {
     pub tape_ops: u64,
 }
 
-/// A free list of `f32` buffers, bucketed by power-of-two size class.
+/// A free list of `f32` buffers in size classes of at least 8 elements,
+/// eight per octave.
 ///
 /// [`Tape`] draws all forward values and gradients from a pool and
 /// [`Tape::into_pool`] returns every buffer for the next pass. A request for
-/// `len` elements takes from the `len.next_power_of_two()` bucket and trims
-/// (or zero-extends) the buffer to the exact length; a returned buffer parks
-/// under the largest class its capacity covers. Bucketing by class rather
-/// than exact length is what lets the batched encode reuse buffers: packed
-/// mini-batches have a different total row count every shuffle, so an
-/// exact-length free list would miss (and allocate afresh) on every batch
-/// while the stale sizes pile up unreclaimed. The pool never shrinks; its
-/// footprint is bounded by the distinct size classes (not shapes) of one
-/// forward+backward pass.
+/// `len` elements takes a buffer parked in the smallest class holding `len`
+/// or up to two octaves above it, and trims (or zero-extends) it to the
+/// exact length. Failing that, it grows the largest parked smaller buffer,
+/// or allocates when none is parked; a returned buffer parks under the
+/// largest class its capacity covers. Packed mini-batches have a different
+/// total row count every shuffle; reuse across classes and growth keep one
+/// set of buffers serving them all, so the footprint stays near the live
+/// peak. The pool never shrinks.
 #[derive(Default)]
 pub struct BufferPool {
-    free: LenMap,
-    /// Buffers currently parked, mirrored from `free` so the high-water
-    /// mark updates in O(1) per give.
+    /// Parked buffers, indexed by size class.
+    free: Vec<Vec<Vec<f32>>>,
+    /// Buffers currently parked, so the high-water mark updates in O(1).
     parked: u64,
+    /// Bytes handed out and not yet given back.
+    live_bytes: u64,
     stats: PoolStats,
 }
 
-/// Largest power of two `<= cap` (the bucket a capacity can serve).
-fn capacity_class(cap: usize) -> usize {
-    debug_assert!(cap > 0);
-    1 << (usize::BITS - 1 - cap.leading_zeros())
+/// Length of class `class`'s buffers: `2ᵏ + j·2ᵏ⁻³` for `k ≥ 3`, `j < 8`.
+fn class_len(class: usize) -> usize {
+    let k = 3 + class / 8;
+    (1 << k) + ((class % 8) << (k - 3))
+}
+
+/// The largest class whose buffers fit in `cap ≥ 8` elements.
+fn class_within(cap: usize) -> usize {
+    let k = (usize::BITS - 1 - cap.leading_zeros()) as usize;
+    8 * (k - 3) + ((cap - (1 << k)) >> (k - 3))
+}
+
+fn bytes(len: usize) -> u64 {
+    (len * size_of::<f32>()) as u64
 }
 
 impl BufferPool {
@@ -123,7 +116,7 @@ impl BufferPool {
 
     /// Number of buffers currently parked in the pool.
     pub fn buffers(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
+        self.free.iter().map(Vec::len).sum()
     }
 
     /// Lifetime hit/miss/allocation counters.
@@ -142,39 +135,42 @@ impl BufferPool {
     /// A buffer of length `len` with unspecified contents; the caller must
     /// overwrite every element.
     fn take_any(&mut self, len: usize) -> Vec<f32> {
-        let class = len.next_power_of_two();
-        match self.free.get_mut(&class).and_then(Vec::pop) {
-            Some(mut buf) => {
-                self.note_hit();
-                if buf.len() < len {
-                    buf.resize(len, 0.0);
-                } else {
-                    buf.truncate(len);
-                }
-                buf
-            }
-            None => {
-                self.note_miss(class);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(len, 0.0);
-                buf
-            }
+        self.live_bytes += bytes(len);
+        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.live_bytes);
+        let within = class_within(len.max(8));
+        let class = within + usize::from(class_len(within) < len);
+        let n = self.free.len();
+        let is_parked = |c: &usize| !self.free[*c].is_empty();
+        // Sixteen classes up is two octaves.
+        let reuse = (class.min(n)..n.min(class + 17)).find(is_parked);
+        let smaller = || (0..class.min(n)).rev().find(is_parked);
+        let mut buf = reuse.or_else(smaller).map_or_else(Vec::new, |c| {
+            self.parked -= 1;
+            self.free[c].pop().expect("class holds a parked buffer")
+        });
+        if reuse.is_some() {
+            self.stats.hits += 1;
+        } else {
+            // Grow through a fresh allocation: `reserve` would `realloc`,
+            // copying old contents nobody reads.
+            self.stats.misses += 1;
+            self.stats.allocated_bytes += bytes(class_len(class) - buf.capacity());
+            drop(buf);
+            buf = Vec::with_capacity(class_len(class));
         }
-    }
-
-    fn note_hit(&mut self) {
-        self.stats.hits += 1;
-        self.parked = self.parked.saturating_sub(1);
-    }
-
-    fn note_miss(&mut self, len: usize) {
-        self.stats.misses += 1;
-        self.stats.allocated_bytes += (len * size_of::<f32>()) as u64;
+        buf.resize(len, 0.0);
+        buf
     }
 
     fn give(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > 0 {
-            self.free.entry(capacity_class(buf.capacity())).or_default().push(buf);
+        // Saturating: a buffer made outside the pool was never counted live.
+        self.live_bytes = self.live_bytes.saturating_sub(bytes(buf.len()));
+        if buf.capacity() >= 8 {
+            let class = class_within(buf.capacity());
+            if self.free.len() <= class {
+                self.free.resize_with(class + 1, Vec::new);
+            }
+            self.free[class].push(buf);
             self.parked += 1;
             self.stats.high_water_buffers = self.stats.high_water_buffers.max(self.parked);
         }
@@ -664,10 +660,7 @@ impl Tape {
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let (n, d) = self.nodes[a.0].value.shape();
         let mut v = pooled_uninit(&mut self.pool, n, d);
-        let x = self.nodes[a.0].value.get();
-        for r in 0..n {
-            softmax_into(x.row(r), v.row_mut(r));
-        }
+        softmax_rows_into(self.nodes[a.0].value.get().data(), d, v.data_mut());
         self.push(v, Op::SoftmaxRows(a.0))
     }
 
@@ -1380,9 +1373,8 @@ impl Tape {
                         let (n, d) = self.nodes[a].value.shape();
                         let scale = g.item() / n as f32;
                         let mut ga = pooled_uninit(&mut self.pool, n, d);
-                        let x = self.nodes[a].value.get();
+                        softmax_rows_into(self.nodes[a].value.get().data(), d, ga.data_mut());
                         for (r, &t) in targets.iter().enumerate() {
-                            softmax_into(x.row(r), ga.row_mut(r));
                             for c in 0..d {
                                 let p = ga.get(r, c);
                                 let onehot = if c == t { 1.0 } else { 0.0 };
@@ -1410,22 +1402,39 @@ fn check_offsets(offsets: &[usize], rows: usize) {
     }
 }
 
-/// Numerically stable softmax of `input` written into `out` — the row
-/// kernel of [`Tape::softmax_rows`], for callers holding plain logits.
+/// Numerically stable softmax of `input` written into `out`, for callers
+/// holding plain logits: [`Tape::softmax_rows`]'s kernel on one row.
 pub fn softmax_into(input: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(input.len(), out.len(), "softmax_into length mismatch");
-    let m = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    for (o, &x) in out.iter_mut().zip(input) {
-        *o = x - m;
+    softmax_rows_into(input, input.len(), out);
+}
+
+/// Numerically stable softmax of each `d`-wide row of `input`, written
+/// into `out`. Each row's max is subtracted into `out`, one `exp` pass
+/// covers the whole block, and each row is then summed and scaled. Every
+/// `exp` lane computes the scalar lane's bits, so a row's result does not
+/// depend on the rows beside it; the single pass only keeps narrow rows'
+/// tails off the scalar lane.
+fn softmax_rows_into(input: &[f32], d: usize, out: &mut [f32]) {
+    debug_assert_eq!(input.len(), out.len(), "softmax length mismatch");
+    if d == 0 {
+        return;
+    }
+    for (o, x) in out.chunks_exact_mut(d).zip(input.chunks_exact(d)) {
+        let m = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for (o, &x) in o.iter_mut().zip(x) {
+            *o = x - m;
+        }
     }
     exact::exp_in_place(out);
-    let mut sum = 0.0;
-    for &o in out.iter() {
-        sum += o;
-    }
-    let inv = 1.0 / sum.max(1e-30);
-    for o in out.iter_mut() {
-        *o *= inv;
+    for o in out.chunks_exact_mut(d) {
+        let mut sum = 0.0;
+        for &v in o.iter() {
+            sum += v;
+        }
+        let inv = 1.0 / sum.max(1e-30);
+        for v in o {
+            *v *= inv;
+        }
     }
 }
 
@@ -1725,6 +1734,76 @@ mod tests {
         assert_eq!(second.allocated_bytes, first.allocated_bytes);
         assert_eq!(second.tape_ops, 2 * ops);
         assert!(second.high_water_buffers >= first.high_water_buffers);
+    }
+
+    /// Packed batches alternate between row counts on either side of a
+    /// class boundary, as `Σn × 64` activations do: one set of buffers
+    /// serves both, so the pool's footprint stays within 1.3× its live
+    /// peak. Separate power-of-two classes for each side take 2.8×.
+    #[test]
+    fn pool_footprint_follows_the_live_peak() {
+        let w0 = Tensor::from_fn(64, 64, |r, c| ((r * 64 + c) % 7) as f32 * 0.01 - 0.03);
+        let mut pool = BufferPool::new();
+        for rows in [1000, 1100, 1000, 1100, 1000, 1100] {
+            let x0 = Tensor::from_fn(rows, 64, |r, c| ((r + c) % 5) as f32 * 0.1 - 0.2);
+            let mut tape = Tape::with_pool(pool);
+            let x = tape.constant_copy(&x0);
+            let w = tape.leaf_copy(&w0);
+            let h = tape.matmul(x, w);
+            let h = tape.tanh(h);
+            let h = tape.matmul(h, w);
+            let h = tape.relu(h);
+            let loss = tape.sum_all(h);
+            tape.backward(loss);
+            pool = tape.into_pool();
+        }
+        let stats = pool.stats();
+        assert!(
+            stats.allocated_bytes * 10 <= stats.peak_live_bytes * 13,
+            "pool holds {} B for a live peak of {} B",
+            stats.allocated_bytes,
+            stats.peak_live_bytes
+        );
+    }
+
+    /// The live peak counts bytes handed out and not yet given back. A
+    /// buffer made outside the pool and given to it (a `Tape::leaf` value,
+    /// backward's seed gradient) never drives the count below zero, so it
+    /// cannot hide later takes.
+    #[test]
+    fn peak_live_bytes_counts_what_is_handed_out() {
+        let mut pool = BufferPool::new();
+        let a = pool.take_any(100);
+        let b = pool.take_zeroed(50);
+        pool.give(a);
+        let c = pool.take_any(20);
+        assert_eq!(pool.stats().peak_live_bytes, 600);
+        pool.give(vec![0.0; 1000]);
+        pool.give(b);
+        pool.give(c);
+        let d = pool.take_any(160);
+        assert_eq!(pool.stats().peak_live_bytes, 640);
+        pool.give(d);
+    }
+
+    /// One `exp` pass over a block of rows gives every row the bits of its
+    /// own softmax, whatever the width leaves to the scalar lane.
+    #[test]
+    fn block_softmax_matches_row_softmax_bitwise() {
+        for d in 1..=20 {
+            for rows in 1..=9 {
+                let x: Vec<f32> =
+                    (0..rows * d).map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.73).collect();
+                let mut block = vec![0.0; rows * d];
+                softmax_rows_into(&x, d, &mut block);
+                let mut row = vec![0.0; d];
+                for (r, got) in block.chunks_exact(d).enumerate() {
+                    softmax_into(&x[r * d..][..d], &mut row);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&row), "width {d}, {rows} rows, row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -440,8 +440,8 @@ mod tiles {
     //! columns through lane masks, so no padded copy of `b` is made.
     //!
     //! Output rows go in groups of four (then singly), over the contraction
-    //! in [`CHUNK`]s. How a group skips zeros depends only on how many its
-    //! rows hold in the chunk ([`COMPACT_ABOVE`]):
+    //! in chunks ([`CHUNK`], [`TN_CHUNK`]). How a group skips zeros depends
+    //! only on how many its rows hold in the chunk ([`COMPACT_ABOVE`]):
     //!
     //! * none: [`dense_tile`], where one `b` load feeds all four rows;
     //! * few: the same tile with a compare that masks the product to
@@ -474,6 +474,15 @@ mod tiles {
     /// eight lanes [`nonzero_positions`] may write past the last kept
     /// position.
     const NZ_CAP: usize = CHUNK + 8;
+
+    /// Contraction rows per pass of [`gemm_tn`], at most [`CHUNK`]. Its
+    /// chunks hold rows of both `a` and `b`: 64 KiB at 64 columns each,
+    /// where 256 rows would be 128 KiB. Timed on every `kernels` `gemm/tn`
+    /// case, each in its own process over 27 interleaved rounds, 128 rows
+    /// took a median 0.86× the time of 256 on dense `(1311,64)ᵀ@(1311,64)`
+    /// and 0.90–1.01× on the other 1311-row cases; cases of at most 128
+    /// rows run one chunk either way.
+    const TN_CHUNK: usize = 128;
 
     /// Column width of the one-row tiles [`sparse_group`] runs on outputs
     /// at least this wide: eight vector accumulators, so one row alone has
@@ -575,11 +584,11 @@ mod tiles {
         }
     }
 
-    /// Hand `pass` the contraction `0..len` in [`CHUNK`]s.
-    fn for_each_chunk(len: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk)) {
+    /// Hand `pass` the contraction `0..len` in chunks of `chunk` rows.
+    fn for_each_chunk(len: usize, chunk: usize, b: &[f32], n: usize, mut pass: impl FnMut(&Chunk)) {
         let mut p0 = 0;
         while p0 < len {
-            let p1 = (p0 + CHUNK).min(len);
+            let p1 = (p0 + chunk).min(len);
             pass(&Chunk { p0, len: p1 - p0, b: b[p0 * n..].as_ptr(), n });
             p0 = p1;
         }
@@ -887,7 +896,7 @@ mod tiles {
             // bounds for `i < m`, `p < k`.
             return unsafe { column::<true>(m, k, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr()) };
         }
-        for_each_chunk(k, b, n, |ch| {
+        for_each_chunk(k, CHUNK, b, n, |ch| {
             let row = |i: usize| &a[i * k + ch.p0..][..ch.len];
             let out = out.as_mut_ptr();
             // SAFETY: `out` is `m × n` and `ch` holds `ch.len` whole rows of
@@ -908,7 +917,7 @@ mod tiles {
 
     /// [`super::gemm_tn`] for `m ≥ 2`.
     ///
-    /// The contraction runs in [`CHUNK`]s of `a`/`b` rows, so the tall
+    /// The contraction runs in [`TN_CHUNK`]s of `a`/`b` rows, so the tall
     /// operands stream from cache once per chunk sweep instead of once per
     /// output tile. Output rows (columns of `a`) go in groups of four. A
     /// chunk of `a` with too few zeros to compact runs every group through
@@ -925,7 +934,7 @@ mod tiles {
                 column::<false>(k, m, a.as_ptr(), 1, k, b.as_ptr(), out.as_mut_ptr())
             };
         }
-        for_each_chunk(m, b, n, |ch| {
+        for_each_chunk(m, TN_CHUNK, b, n, |ch| {
             let a_ch = &a[ch.p0 * k..(ch.p0 + ch.len) * k];
             let zeros = zero_count(a_ch);
             let mut cols = None;
@@ -970,7 +979,7 @@ mod tiles {
         a_ch: &[f32],
         k: usize,
         i: usize,
-        cols: &mut Option<[[f32; CHUNK]; 4]>,
+        cols: &mut Option<[[f32; TN_CHUNK]; 4]>,
         out: *mut f32,
     ) {
         if !compacts(zeros, a_ch.len()) {
@@ -981,7 +990,7 @@ mod tiles {
                 tile_group::<R, false>(x, k, ch, out)
             };
         }
-        let cols = cols.get_or_insert([[0.0f32; CHUNK]; 4]);
+        let cols = cols.get_or_insert([[0.0f32; TN_CHUNK]; 4]);
         for (p, row) in a_ch.chunks_exact(k).enumerate() {
             for (r, &v) in row[i..i + R].iter().enumerate() {
                 cols[r][p] = v;
@@ -1249,8 +1258,8 @@ mod tests {
 
     /// Both Strict kernels against the scalar reference at one shape and
     /// zero density. Every fourth salt runs `matmul_tn_into` over more
-    /// rows than its 256-row chunk, every eighth runs `matmul_into` over a
-    /// contraction longer than 256; odd salts poison the contraction
+    /// than two of its 128-row chunks, every eighth runs `matmul_into` over
+    /// a contraction longer than 256; odd salts poison the contraction
     /// indices `p ≡ salt (mod 5)`.
     fn check_strict_kernels(m: usize, k: usize, n: usize, pct: u32, salt: u32) {
         let poisoned = |len: usize| -> Vec<usize> {

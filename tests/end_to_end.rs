@@ -151,7 +151,11 @@ fn observability_is_invisible_to_predictions_and_reports_round_trip() {
     assert!(parsed.get("spans").and_then(|s| s.get("pipeline.run")).is_some());
     // The scoring tapes' pool footprint is attributable in the report.
     let gauges = parsed.get("gauges").expect("gauges section");
-    for name in ["score.pool.allocated_bytes", "score.pool.high_water_buffers"] {
+    for name in [
+        "score.pool.allocated_bytes",
+        "score.pool.high_water_buffers",
+        "score.pool.peak_live_bytes",
+    ] {
         let v = gauges.get(name).and_then(obs::Json::as_f64);
         assert!(v.is_some_and(|v| v > 0.0), "gauge {name} missing or zero: {v:?}");
     }

@@ -128,8 +128,13 @@ fn training_records_the_per_branch_metrics_perfbench_reads() {
             "counter {counter} not recorded"
         );
     }
-    let gauge = "train.ldg.pool.high_water_buffers";
-    assert!(snap.gauges.get(gauge).is_some_and(|&v| v > 0.0), "gauge {gauge} not recorded");
+    for gauge in [
+        "train.ldg.pool.high_water_buffers",
+        "train.gsg.pool.peak_live_bytes",
+        "train.ldg.pool.peak_live_bytes",
+    ] {
+        assert!(snap.gauges.get(gauge).is_some_and(|&v| v > 0.0), "gauge {gauge} not recorded");
+    }
 }
 
 /// Serving-path latency: one histogram observation per scored account,
