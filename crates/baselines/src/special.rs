@@ -92,8 +92,8 @@ pub struct EthidentBaseline {
 
 impl EthidentBaseline {
     pub fn new(store: &mut ParamStore, rng: &mut impl Rng, d_in: usize, hidden: usize) -> Self {
-        let cfg = GsgConfig { d_in, hidden, d_out: hidden / 2, ..GsgConfig::default() };
-        Self { encoder: GsgEncoder::new(store, rng, cfg) }
+        let cfg = GsgConfig { hidden, d_out: hidden / 2, ..GsgConfig::default() };
+        Self { encoder: GsgEncoder::new(store, rng, d_in, cfg) }
     }
 }
 

@@ -75,7 +75,7 @@ fn bench_gsg_step(c: &mut Criterion) {
     let cfg = Dbg4EthConfig::fast();
     let mut rng = StdRng::seed_from_u64(1);
     let mut store = ParamStore::new();
-    let enc = GsgEncoder::new(&mut store, &mut rng, cfg.gsg);
+    let enc = GsgEncoder::new(&mut store, &mut rng, cfg.features.width(), cfg.gsg);
     c.bench_function("table3/gsg_forward_backward", |b| {
         b.iter(|| {
             store.zero_grad();
@@ -99,7 +99,7 @@ fn ldg_one_account(cfg: &Dbg4EthConfig) -> (ParamStore, LdgEncoder, LdgBatch) {
     else {
         unreachable!("the LDG branch builds an LDG encoder")
     };
-    let batch = LdgBatch::pack(&[&g], enc.config.t_slices);
+    let batch = LdgBatch::pack(&[&g], enc.t_slices);
     (store, enc, batch)
 }
 

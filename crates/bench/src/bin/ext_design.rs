@@ -35,8 +35,6 @@ fn main() {
         ("no node features", {
             let mut c = base;
             c.features = FeatureMode::None;
-            c.gsg.d_in = 1;
-            c.ldg.d_in = 1;
             c
         }),
     ];

@@ -5,9 +5,7 @@
 //! [`Branch`] names each branch's spans, counters, sections and fault site.
 
 use crate::config::Dbg4EthConfig;
-use gnn::{
-    augment, nt_xent, GraphTensors, GsgBatch, GsgEncoder, GsgItem, LdgBatch, LdgConfig, LdgEncoder,
-};
+use gnn::{augment, nt_xent, GraphTensors, GsgBatch, GsgEncoder, GsgItem, LdgBatch, LdgEncoder};
 use nn::{Adam, Ctx, ParamStore};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -112,19 +110,19 @@ pub enum Encoder {
 
 impl Encoder {
     /// Build `branch`'s encoder under `config`, registering its parameters
-    /// in `store`. The LDG's `T` is [`Dbg4EthConfig::t_slices`], set here
-    /// and nowhere else; the `ldg.t_slices` sub-field is never read.
+    /// in `store`. The one place the input width ([`crate::FeatureMode::width`])
+    /// and the LDG's `T` ([`Dbg4EthConfig::t_slices`]) are set.
     pub fn new(
         branch: Branch,
         config: &Dbg4EthConfig,
         store: &mut ParamStore,
         rng: &mut StdRng,
     ) -> Self {
+        let d_in = config.features.width();
         match branch {
-            Branch::Gsg => Self::Gsg(GsgEncoder::new(store, rng, config.gsg)),
+            Branch::Gsg => Self::Gsg(GsgEncoder::new(store, rng, d_in, config.gsg)),
             Branch::Ldg => {
-                let ldg = LdgConfig { t_slices: config.t_slices, ..config.ldg };
-                Self::Ldg(LdgEncoder::new(store, rng, ldg))
+                Self::Ldg(LdgEncoder::new(store, rng, d_in, config.t_slices, config.ldg))
             }
         }
     }
@@ -168,7 +166,7 @@ impl Encoder {
             }
             Self::Ldg(enc) => {
                 let _span = obs::span("encode.batch");
-                let packed = LdgBatch::pack(graphs, enc.config.t_slices);
+                let packed = LdgBatch::pack(graphs, enc.t_slices);
                 if obs::metrics_enabled() {
                     obs::gauge_max("encode.batch.nodes", packed.n_total() as f64);
                     obs::counter_add("encode.batch.nnz", packed.nnz_total as u64);
@@ -267,9 +265,10 @@ pub fn train_branch(
         history.push(stats);
     }
     // The pool's lifetime counters land under `<train>.pool.*` and
-    // `<train>.tape_ops`. Counter adds and the gauge max are
-    // order-independent, so concurrent branch trainings (separate pools)
-    // report the same totals at any thread count.
+    // `<train>.tape_ops`, summed over fits; the gauges keep the largest fit's
+    // value (`pool.fit_allocated_bytes` beside `pool.peak_live_bytes`).
+    // Counter adds and gauge maxima are order-independent, so concurrent
+    // branch trainings (separate pools) report the same at any thread count.
     if obs::metrics_enabled() {
         let (prefix, stats) = (names.train, pool.stats());
         obs::counter_add(&format!("{prefix}.fits"), 1);
@@ -283,6 +282,7 @@ pub fn train_branch(
             stats.high_water_buffers as f64,
         );
         obs::gauge_max(&format!("{prefix}.pool.peak_live_bytes"), stats.peak_live_bytes as f64);
+        obs::gauge_max(&format!("{prefix}.pool.fit_allocated_bytes"), stats.allocated_bytes as f64);
     }
     TrainedEncoder { store, encoder, history }
 }
@@ -341,7 +341,7 @@ impl TrainedEncoder {
                     enc.forward_batch(&mut tape, &mut ctx, store, &batch).logits
                 }
                 Encoder::Ldg(enc) => {
-                    let batch = LdgBatch::pack(&[graph], enc.config.t_slices);
+                    let batch = LdgBatch::pack(&[graph], enc.t_slices);
                     enc.forward_batch(&mut tape, &mut ctx, store, &batch).logits
                 }
             };

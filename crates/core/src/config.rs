@@ -49,6 +49,16 @@ pub enum FeatureMode {
     None,
 }
 
+impl FeatureMode {
+    /// Input width of both encoders: 15 deep features (Table I), or 1 without.
+    pub fn width(self) -> usize {
+        match self {
+            FeatureMode::LogAbsolute | FeatureMode::ZScored => features::N_FEATURES,
+            FeatureMode::None => 1,
+        }
+    }
+}
+
 /// Calibration-stage configuration, including the Table IV ablations.
 ///
 /// `#[non_exhaustive]`: construct via [`Default`] and mutate fields, or let
@@ -102,13 +112,9 @@ pub struct Dbg4EthConfig {
     pub features: FeatureMode,
     /// Fraction of the training split held out to fit the calibrators and
     /// the final classifier (they must not see the encoder's training fit).
-    /// With 0 (the default), 2-fold cross-fitting is used instead when
-    /// `cross_fit` is set.
+    /// With 0 (the default), the training-split scores are 2-fold
+    /// cross-fitted instead (standard stacking practice; see DESIGN.md).
     pub holdout_frac: f64,
-    /// Cross-fit the training-split scores used to fit the calibrators and
-    /// stacked classifier (standard stacking practice; see DESIGN.md).
-    /// Only applies when `holdout_frac == 0`.
-    pub cross_fit: bool,
     /// Degree of task parallelism across the pipeline: `0` resolves to the
     /// machine's available parallelism, `1` reproduces the historical
     /// serial execution exactly, and any value is overridden by the
@@ -137,7 +143,6 @@ impl Default for Dbg4EthConfig {
             classifier: ClassifierKind::LightGbm,
             features: FeatureMode::LogAbsolute,
             holdout_frac: 0.0,
-            cross_fit: true,
             parallelism: 0,
             seed: 42,
         }
@@ -145,7 +150,7 @@ impl Default for Dbg4EthConfig {
 }
 
 // Upper bounds of the encoder dimensions (see `Dbg4EthConfig::validate`):
-// every width (`d_in`, `hidden`, `d_out`, each DiffPool cluster count), the
+// every width (`hidden`, `d_out`, each DiffPool cluster count), the
 // GSG's heads per layer and layers, the LDG's `T`, and either head's classes.
 const MAX_WIDTH: usize = 512;
 const MAX_HEADS: usize = 64;
@@ -278,10 +283,9 @@ impl Dbg4EthConfigBuilder {
         classifier: ClassifierKind,
         /// Node-feature construction mode.
         features: FeatureMode,
-        /// Fraction of the training split held out for calibration.
+        /// Fraction of the training split held out for calibration
+        /// (0 = cross-fit the training-split scores).
         holdout_frac: f64,
-        /// Cross-fit the training-split scores.
-        cross_fit: bool,
         /// Degree of task parallelism (0 = auto-detect).
         parallelism: usize,
         /// Seed of every random stage.
@@ -356,22 +360,22 @@ impl Dbg4EthConfig {
         }
         if self.use_gsg {
             let g = &self.gsg;
-            if g.d_in == 0 || g.hidden == 0 || g.layers == 0 || g.d_out == 0 {
+            if g.hidden == 0 || g.layers == 0 || g.d_out == 0 {
                 return Err(ConfigError::Gsg(format!(
-                    "dimensions must be positive (d_in {}, hidden {}, layers {}, d_out {})",
-                    g.d_in, g.hidden, g.layers, g.d_out
+                    "dimensions must be positive (hidden {}, layers {}, d_out {})",
+                    g.hidden, g.layers, g.d_out
                 )));
             }
-            if [g.d_in, g.hidden, g.d_out].into_iter().any(|w| w > MAX_WIDTH)
+            if [g.hidden, g.d_out].into_iter().any(|w| w > MAX_WIDTH)
                 || g.layers > MAX_LAYERS
                 || g.heads > MAX_HEADS
                 || g.n_classes > MAX_CLASSES
             {
                 return Err(ConfigError::Gsg(format!(
-                    "dimensions exceed their bounds (d_in {}, hidden {}, d_out {} \
-                     ≤ {MAX_WIDTH}; layers {} ≤ {MAX_LAYERS}; heads {} ≤ {MAX_HEADS}; \
+                    "dimensions exceed their bounds (hidden {}, d_out {} ≤ {MAX_WIDTH}; \
+                     layers {} ≤ {MAX_LAYERS}; heads {} ≤ {MAX_HEADS}; \
                      n_classes {} ≤ {MAX_CLASSES})",
-                    g.d_in, g.hidden, g.d_out, g.layers, g.heads, g.n_classes
+                    g.hidden, g.d_out, g.layers, g.heads, g.n_classes
                 )));
             }
             if g.heads == 0 || !g.hidden.is_multiple_of(g.heads) {
@@ -386,10 +390,10 @@ impl Dbg4EthConfig {
         }
         if self.use_ldg {
             let l = &self.ldg;
-            if l.d_in == 0 || l.hidden == 0 || l.d_out == 0 || self.t_slices == 0 {
+            if l.hidden == 0 || l.d_out == 0 || self.t_slices == 0 {
                 return Err(ConfigError::Ldg(format!(
-                    "dimensions must be positive (d_in {}, hidden {}, d_out {}, t_slices {})",
-                    l.d_in, l.hidden, l.d_out, self.t_slices
+                    "dimensions must be positive (hidden {}, d_out {}, t_slices {})",
+                    l.hidden, l.d_out, self.t_slices
                 )));
             }
             if !(1..=l.pool_clusters.len()).contains(&l.pool_layers) {
@@ -399,13 +403,13 @@ impl Dbg4EthConfig {
                     l.pool_clusters.len()
                 )));
             }
-            if [l.d_in, l.hidden, l.d_out].iter().chain(&l.pool_clusters).any(|&w| w > MAX_WIDTH)
+            if [l.hidden, l.d_out].iter().chain(&l.pool_clusters).any(|&w| w > MAX_WIDTH)
                 || l.n_classes > MAX_CLASSES
             {
                 return Err(ConfigError::Ldg(format!(
-                    "dimensions exceed their bounds (d_in {}, hidden {}, d_out {}, \
+                    "dimensions exceed their bounds (hidden {}, d_out {}, \
                      pool_clusters {:?} ≤ {MAX_WIDTH}; n_classes {} ≤ {MAX_CLASSES})",
-                    l.d_in, l.hidden, l.d_out, l.pool_clusters, l.n_classes
+                    l.hidden, l.d_out, l.pool_clusters, l.n_classes
                 )));
             }
             if l.pool_clusters.contains(&0) {
@@ -427,7 +431,6 @@ impl Dbg4EthConfig {
             gsg: GsgConfig { hidden: 32, heads: 2, d_out: 16, ..GsgConfig::default() },
             ldg: LdgConfig {
                 hidden: 32,
-                t_slices: 5,
                 d_out: 16,
                 pool_clusters: [8, 4, 1],
                 ..LdgConfig::default()
@@ -459,7 +462,6 @@ mod tests {
             .t_slices(6)
             .classifier(ClassifierKind::XgBoost)
             .holdout_frac(0.25)
-            .cross_fit(false)
             .parallelism(2)
             .seed(9)
             .build()
@@ -470,7 +472,6 @@ mod tests {
         assert_eq!(cfg.t_slices, 6);
         assert_eq!(cfg.classifier, ClassifierKind::XgBoost);
         assert_eq!(cfg.holdout_frac, 0.25);
-        assert!(!cfg.cross_fit);
         assert_eq!(cfg.parallelism, 2);
         assert_eq!(cfg.seed, 9);
     }
@@ -518,7 +519,6 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let c = Dbg4EthConfig {
             gsg: GsgConfig {
-                d_in: MAX_WIDTH,
                 hidden: MAX_WIDTH,
                 layers: MAX_LAYERS,
                 heads: MAX_HEADS,
@@ -527,9 +527,7 @@ mod tests {
                 use_center: true,
             },
             ldg: LdgConfig {
-                d_in: MAX_WIDTH,
                 hidden: MAX_WIDTH,
-                t_slices: MAX_T_SLICES,
                 pool_clusters: [MAX_WIDTH; 3],
                 pool_layers: 3,
                 d_out: MAX_WIDTH,
@@ -546,14 +544,12 @@ mod tests {
             assert!(store.num_scalars() <= 4 << 20, "{branch:?}: {}", store.num_scalars());
         }
 
-        let past: [fn(&mut Dbg4EthConfig); 12] = [
-            |c| c.gsg.d_in += 1,
+        let past: [fn(&mut Dbg4EthConfig); 10] = [
             |c| c.gsg.hidden += MAX_HEADS,
             |c| c.gsg.d_out += 1,
             |c| c.gsg.layers += 1,
             |c| c.gsg.heads *= 2,
             |c| c.gsg.n_classes += 1,
-            |c| c.ldg.d_in += 1,
             |c| c.ldg.hidden += 1,
             |c| c.ldg.d_out += 1,
             |c| c.ldg.pool_clusters[2] += 1,

@@ -717,8 +717,9 @@ impl TrainedModel {
                 TrainedBranch::read(r, branch, &config, strict, &mut lost)?;
         }
         if gsg.is_none() && ldg.is_none() {
+            let lost: Vec<String> = lost.iter().map(LostSection::to_string).collect();
             return Err(ModelIoError::Corrupt {
-                context: "every encoder branch is unusable".to_string(),
+                context: format!("every encoder branch is unusable: {}", lost.join("; ")),
             });
         }
 
@@ -983,18 +984,19 @@ pub(crate) fn write_config(c: &Dbg4EthConfig, s: &mut SectionWriter) {
 
 /// Every config field up to (and excluding) the trailing numerics byte —
 /// the exact layout older containers carry. Split out so the compatibility
-/// test can write a byte-faithful legacy section.
+/// test can write a byte-faithful legacy section. The two input widths, the
+/// LDG's `T` and cross-fitting are derived; [`read_config`] skips them.
 fn write_config_pre_numerics(c: &Dbg4EthConfig, s: &mut SectionWriter) {
-    s.put_usize(c.gsg.d_in);
+    s.put_usize(c.features.width());
     s.put_usize(c.gsg.hidden);
     s.put_usize(c.gsg.layers);
     s.put_usize(c.gsg.heads);
     s.put_usize(c.gsg.d_out);
     s.put_usize(c.gsg.n_classes);
     s.put_bool(c.gsg.use_center);
-    s.put_usize(c.ldg.d_in);
+    s.put_usize(c.features.width());
     s.put_usize(c.ldg.hidden);
-    s.put_usize(c.ldg.t_slices);
+    s.put_usize(c.t_slices);
     for k in c.ldg.pool_clusters {
         s.put_usize(k);
     }
@@ -1017,14 +1019,16 @@ fn write_config_pre_numerics(c: &Dbg4EthConfig, s: &mut SectionWriter) {
     s.put_u8(classifier_tag(c.classifier));
     s.put_u8(feature_tag(c.features));
     s.put_f64(c.holdout_frac);
-    s.put_bool(c.cross_fit);
+    s.put_bool(c.holdout_frac == 0.0);
     s.put_usize(c.parallelism);
     s.put_u64(c.seed);
 }
 
+/// Read a config section, skipping its derived slots: [`rebuild`] refuses
+/// weights whose shapes disagree with the derived width.
 pub(crate) fn read_config(s: &mut SectionReader) -> Result<Dbg4EthConfig, ModelIoError> {
+    s.get_usize()?; // GSG input width
     let gsg = GsgConfig {
-        d_in: s.get_usize()?,
         hidden: s.get_usize()?,
         layers: s.get_usize()?,
         heads: s.get_usize()?,
@@ -1032,10 +1036,11 @@ pub(crate) fn read_config(s: &mut SectionReader) -> Result<Dbg4EthConfig, ModelI
         n_classes: s.get_usize()?,
         use_center: s.get_bool()?,
     };
+    s.get_usize()?; // LDG input width
+    let hidden = s.get_usize()?;
+    s.get_usize()?; // LDG time slices
     let ldg = gnn::LdgConfig {
-        d_in: s.get_usize()?,
-        hidden: s.get_usize()?,
-        t_slices: s.get_usize()?,
+        hidden,
         pool_clusters: [s.get_usize()?, s.get_usize()?, s.get_usize()?],
         pool_layers: s.get_usize()?,
         d_out: s.get_usize()?,
@@ -1062,8 +1067,8 @@ pub(crate) fn read_config(s: &mut SectionReader) -> Result<Dbg4EthConfig, ModelI
         classifier: classifier_from_tag(s.get_u8()?)?,
         features: feature_from_tag(s.get_u8()?)?,
         holdout_frac: s.get_f64()?,
-        cross_fit: s.get_bool()?,
-        parallelism: s.get_usize()?,
+        // The derived cross-fit slot lies between these two.
+        parallelism: s.get_bool().and_then(|_| s.get_usize())?,
         seed: s.get_u64()?,
     };
     // Absent in containers from before the numerics byte existed: those
@@ -1071,16 +1076,10 @@ pub(crate) fn read_config(s: &mut SectionReader) -> Result<Dbg4EthConfig, ModelI
     if s.remaining() > 0 {
         check_numerics_tag(s.get_u8()?)?;
     }
-    validate_config(&config)?;
+    // A tampered but checksummed file must fail with a typed error, not a
+    // panic deep inside an encoder constructor.
+    config.validate().map_err(|e| ModelIoError::Corrupt { context: e.to_string() })?;
     Ok(config)
-}
-
-/// Reject configurations the encoder constructors would assert on — a
-/// tampered-but-checksummed file must fail with a typed error, not a panic
-/// deep inside `GsgEncoder::new`. The range checks themselves live on
-/// [`Dbg4EthConfig::validate`], shared with the builder.
-fn validate_config(c: &Dbg4EthConfig) -> Result<(), ModelIoError> {
-    c.validate().map_err(|e| ModelIoError::Corrupt { context: e.to_string() })
 }
 
 #[cfg(test)]
@@ -1183,6 +1182,57 @@ mod tests {
         let bytes = w.to_bytes();
         assert_eq!(bytes.len(), 304);
         assert_corrupt_on_every_load(&bytes, "oversized-encoder", "hidden 32768");
+    }
+
+    /// A container whose feature-mode tag alone is rewritten (CRC
+    /// recomputed) asks for encoders of another input width than its
+    /// weights have. The width is derived from the tag, so `rebuild`'s
+    /// shape check refuses it on every load, instead of a model that loads
+    /// and then fails every account at scoring.
+    #[test]
+    fn rewritten_feature_mode_tag_is_a_typed_error() {
+        use eth_sim::{AccountClass, Benchmark, DatasetScale};
+        let scale = DatasetScale {
+            exchange: 8,
+            ico_wallet: 0,
+            mining: 0,
+            phish_hack: 0,
+            bridge: 0,
+            defi: 0,
+        };
+        let bench = Benchmark::generate(scale, eth_graph::SamplerConfig::new(10, 2), 23);
+        let mut cfg = Dbg4EthConfig::fast();
+        cfg.epochs = 1;
+        cfg.gsg.hidden = 16;
+        cfg.gsg.d_out = 8;
+        cfg.ldg.hidden = 16;
+        cfg.ldg.d_out = 8;
+        cfg.ldg.pool_clusters = [4, 2, 1];
+        cfg.t_slices = 3;
+        cfg.parallelism = 1;
+        let (session, _) =
+            crate::Session::train(bench.dataset(AccountClass::Exchange), 0.7, &cfg).expect("train");
+        let bytes = session.model().to_bytes();
+
+        let section = |features| {
+            let mut s = SectionWriter::new();
+            write_config(&Dbg4EthConfig { features, ..cfg }, &mut s);
+            s.into_bytes()
+        };
+        // The config section leads the container: its payload follows the
+        // header (magic, version, section count), its name and its length.
+        let payload = section(FeatureMode::LogAbsolute);
+        let start = 12 + 4 + SEC_CONFIG.len() + 8;
+        let end = start + payload.len();
+        assert_eq!(bytes[start..end], payload[..]);
+        // Log-absolute and z-scored features share their width, so their
+        // sections differ in the tag byte alone.
+        let tag = payload.iter().zip(section(FeatureMode::ZScored)).position(|(a, b)| *a != b);
+        let mut tampered = bytes;
+        tampered[start + tag.expect("the tags differ")] = feature_tag(FeatureMode::None);
+        let crc = model_io::crc32(&[SEC_CONFIG.as_bytes(), &tampered[start..end]].concat());
+        tampered[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        assert_corrupt_on_every_load(&tampered, "feature-tag", "weights do not match");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::branch::{train_branch, Branch};
 use crate::config::Dbg4EthConfig;
+use crate::pipeline::lower_graphs;
 use eth_graph::Subgraph;
 use gnn::GraphTensors;
 use rand::rngs::StdRng;
@@ -91,9 +92,7 @@ pub fn run_multiclass(
     let labels: Vec<usize> = graphs.iter().map(|g| g.label.expect("labelled graph")).collect();
     assert!(labels.iter().all(|&l| l < n_classes), "label out of range");
 
-    let threads = cfg.threads();
-    let tensors: Vec<GraphTensors> =
-        par::par_map(threads, graphs, |g| GraphTensors::from_subgraph(g, cfg.t_slices));
+    let tensors = lower_graphs(graphs, &cfg, cfg.threads());
     let (train_idx, test_idx) = split(&labels, n_classes, train_frac, cfg.seed);
     let train_graphs: Vec<&GraphTensors> = train_idx.iter().map(|&i| &tensors[i]).collect();
     let test_graphs: Vec<&GraphTensors> = test_idx.iter().map(|&i| &tensors[i]).collect();
@@ -227,15 +226,13 @@ mod tests {
             .ldg(LdgConfig {
                 hidden: 16,
                 d_out: 8,
-                t_slices: 4,
                 pool_clusters: [6, 3, 1],
                 n_classes: 7,
                 ..LdgConfig::default()
             })
             .build()
             .expect("valid configuration");
-        let tensors: Vec<GraphTensors> =
-            graphs.iter().map(|g| GraphTensors::from_subgraph(g, cfg.t_slices)).collect();
+        let tensors = lower_graphs(&graphs, &cfg, 1);
         let refs: Vec<&GraphTensors> = tensors.iter().collect();
         let dists = branch_dists(&refs, &refs, &cfg);
         assert_eq!(dists.len(), 2, "both branches enabled");

@@ -360,7 +360,7 @@ pub(crate) fn encode_with_models(
     // trust. With `holdout_frac > 0` a plain disjoint holdout is used
     // instead.
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x401D);
-    let cross_fit = config.cross_fit && config.holdout_frac <= 0.0;
+    let cross_fit = config.holdout_frac == 0.0;
     let mut fit_idx = Vec::new();
     let mut holdout_idx = Vec::new();
     let mut fold_a = Vec::new();
@@ -592,7 +592,6 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.use_ldg = false;
         cfg.holdout_frac = 0.5;
-        cfg.cross_fit = false;
         let encoded = encode(&d, 0.7, &cfg);
         assert!(!encoded.holdout_labels.is_empty());
         assert!(

@@ -13,12 +13,8 @@ use tensor::{Csr, Tape, Var};
 /// Configuration of the LDG encoder.
 #[derive(Clone, Copy, Debug)]
 pub struct LdgConfig {
-    /// Input node-feature dimension.
-    pub d_in: usize,
     /// Hidden width.
     pub hidden: usize,
-    /// Number of time slices `T` (paper: 10).
-    pub t_slices: usize,
     /// Cluster counts of the DiffPool stages; the paper uses two poolings
     /// with `N₁' = 0.1 N` and `N₂' = 1`. We use fixed cluster counts so the
     /// assignment GNNs have fixed shapes across graphs.
@@ -36,9 +32,7 @@ pub struct LdgConfig {
 impl Default for LdgConfig {
     fn default() -> Self {
         Self {
-            d_in: 15,
             hidden: 64,
-            t_slices: 10,
             pool_clusters: [12, 4, 1],
             pool_layers: 2,
             d_out: 32,
@@ -51,6 +45,8 @@ impl Default for LdgConfig {
 /// The local dynamic graph encoder.
 pub struct LdgEncoder {
     pub config: LdgConfig,
+    /// Number of time slices `T` the encoder reads out over (paper: 10).
+    pub t_slices: usize,
     input_proj: Linear,
     gcn: GcnLayer,
     gru: GruCell,
@@ -73,13 +69,20 @@ pub struct LdgOutput {
 }
 
 impl LdgEncoder {
-    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, config: LdgConfig) -> Self {
+    /// An encoder over `d_in`-wide node features and `t_slices` time
+    /// slices.
+    pub fn new(
+        store: &mut ParamStore,
+        rng: &mut impl Rng,
+        d_in: usize,
+        t_slices: usize,
+        config: LdgConfig,
+    ) -> Self {
         assert!(
             (1..=config.pool_clusters.len()).contains(&config.pool_layers),
             "pool_layers must be within the configured stages"
         );
-        let input_proj =
-            Linear::new(store, rng, "ldg.in", config.d_in, config.hidden, Activation::Tanh);
+        let input_proj = Linear::new(store, rng, "ldg.in", d_in, config.hidden, Activation::Tanh);
         let gcn =
             GcnLayer::new(store, rng, "ldg.gcn", config.hidden, config.hidden, Activation::Relu);
         let gru = GruCell::new(store, rng, "ldg.gru", config.hidden);
@@ -95,13 +98,13 @@ impl LdgEncoder {
                 )
             })
             .collect();
-        let time_attn = store.zeros("ldg.time_attn", 1, config.t_slices);
+        let time_attn = store.zeros("ldg.time_attn", 1, t_slices);
         let gamma_width = if config.use_center { 2 * config.hidden } else { config.hidden };
         let theta_g =
             Linear::new(store, rng, "ldg.theta_g", gamma_width, config.d_out, Activation::Relu);
         let head =
             Linear::new(store, rng, "ldg.head", config.d_out, config.n_classes, Activation::None);
-        Self { config, input_proj, gcn, gru, assign, time_attn, theta_g, head }
+        Self { config, t_slices, input_proj, gcn, gru, assign, time_attn, theta_g, head }
     }
 
     /// DiffPool chain for one time slice (Eqs. 19-21 followed by a mean over
@@ -194,7 +197,7 @@ impl LdgEncoder {
         let mut h = self.input_proj.forward(tape, ctx, store, x);
 
         let mut pooled: Option<Var> = None;
-        for t in 0..self.config.t_slices {
+        for t in 0..self.t_slices {
             let adj_csr = batch.slice_csr.get(t).unwrap_or_else(|| batch.slice_csr.last().unwrap());
             // Eq. 14: topological features from the previous evolutionary
             // state. Eqs. 15-18: GRU update. Both are row-local (SpMM never
@@ -250,6 +253,7 @@ mod tests {
     use super::*;
     use crate::graphdata::GraphTensors;
     use eth_graph::{AccountKind, LocalTx, Subgraph};
+    use features::N_FEATURES;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -288,13 +292,13 @@ mod tests {
     fn encoder_with_slices(pool_layers: usize, t_slices: usize) -> (ParamStore, LdgEncoder) {
         let mut rng = StdRng::seed_from_u64(13);
         let mut store = ParamStore::new();
-        let cfg = LdgConfig { hidden: 16, t_slices, d_out: 8, pool_layers, ..Default::default() };
-        let enc = LdgEncoder::new(&mut store, &mut rng, cfg);
+        let cfg = LdgConfig { hidden: 16, d_out: 8, pool_layers, ..Default::default() };
+        let enc = LdgEncoder::new(&mut store, &mut rng, N_FEATURES, t_slices, cfg);
         (store, enc)
     }
 
     fn pack_one(enc: &LdgEncoder, g: &GraphTensors) -> LdgBatch {
-        LdgBatch::pack(&[g], enc.config.t_slices)
+        LdgBatch::pack(&[g], enc.t_slices)
     }
 
     #[test]

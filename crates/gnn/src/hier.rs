@@ -12,8 +12,6 @@ use crate::layers::GatLayer;
 /// Configuration of the GSG encoder.
 #[derive(Clone, Copy, Debug)]
 pub struct GsgConfig {
-    /// Input node-feature dimension (15 for the deep features).
-    pub d_in: usize,
     /// Hidden width (paper: 128).
     pub hidden: usize,
     /// Number of node-level GAT layers (paper: 2).
@@ -32,15 +30,7 @@ pub struct GsgConfig {
 
 impl Default for GsgConfig {
     fn default() -> Self {
-        Self {
-            d_in: 15,
-            hidden: 64,
-            layers: 2,
-            heads: 2,
-            d_out: 32,
-            n_classes: 2,
-            use_center: true,
-        }
+        Self { hidden: 64, layers: 2, heads: 2, d_out: 32, n_classes: 2, use_center: true }
     }
 }
 
@@ -73,14 +63,16 @@ pub struct GsgOutput {
 }
 
 impl GsgEncoder {
-    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, config: GsgConfig) -> Self {
+    /// An encoder over `d_in`-wide node features (15 for the deep
+    /// features, 1 without node features).
+    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, d_in: usize, config: GsgConfig) -> Self {
         assert!(config.hidden.is_multiple_of(config.heads), "hidden must divide by heads");
         let per_head = config.hidden / config.heads;
         let align = Linear::new(
             store,
             rng,
             "gsg.align",
-            config.d_in + 2,
+            d_in + 2,
             config.hidden,
             Activation::LeakyRelu(0.2),
         );
@@ -215,6 +207,7 @@ mod tests {
     use crate::batch::GsgItem;
     use crate::graphdata::GraphTensors;
     use eth_graph::{AccountKind, LocalTx, Subgraph};
+    use features::N_FEATURES;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -270,7 +263,7 @@ mod tests {
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let enc = GsgEncoder::new(&mut store, &mut rng, GsgConfig::default());
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, GsgConfig::default());
         let g = toy_graph(1);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
@@ -287,7 +280,7 @@ mod tests {
     fn repeated_forwards_park_no_extra_buffers() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let enc = GsgEncoder::new(&mut store, &mut rng, GsgConfig::default());
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, GsgConfig::default());
         let batch = pack_one(&toy_graph(1));
         let mut pool = tensor::BufferPool::new();
         let mut parked = Vec::new();
@@ -306,7 +299,7 @@ mod tests {
     fn gradients_flow_to_every_parameter_family() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut store = ParamStore::new();
-        let enc = GsgEncoder::new(&mut store, &mut rng, GsgConfig::default());
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, GsgConfig::default());
         let g = toy_graph(1);
         let mut tape = Tape::new();
         let mut ctx = Ctx::new(&store);
@@ -350,7 +343,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut store = ParamStore::new();
         let cfg = GsgConfig { hidden: 16, heads: 2, d_out: 8, layers: 2, ..Default::default() };
-        let enc = GsgEncoder::new(&mut store, &mut rng, cfg);
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, cfg);
         let graphs = [toy_graph(1), star_graph(0), toy_graph(0)];
         let views: Vec<_> = graphs
             .iter()
@@ -404,7 +397,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(8);
         let mut store = ParamStore::new();
-        let enc = GsgEncoder::new(&mut store, &mut rng, GsgConfig::default());
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, GsgConfig::default());
         let graphs = [ring(40, 1), ring(31, 0), ring(23, 1)];
         let views: Vec<_> = graphs
             .iter()
@@ -443,7 +436,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
         let cfg = GsgConfig { hidden: 16, heads: 2, d_out: 8, ..Default::default() };
-        let enc = GsgEncoder::new(&mut store, &mut rng, cfg);
+        let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, cfg);
         let g1 = toy_graph(1);
         let g0 = {
             let g = Subgraph::from_parts(

@@ -49,6 +49,9 @@ pub const IDLE_ENV: &str = "DBG4ETH_SERVE_IDLE_MS";
 /// `DBG4ETH_SERVE_CACHE` — score-cache capacity (default 1024).
 pub const CACHE_ENV: &str = "DBG4ETH_SERVE_CACHE";
 
+/// Backoff hint attached to [`Reply::Overloaded`].
+const RETRY_AFTER_MS: u64 = 25;
+
 /// Tunables of one [`ScoreServer`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -65,13 +68,9 @@ pub struct ServeConfig {
     /// Per-connection read timeout: idle and slow-loris connections are
     /// reaped after this long without a complete read.
     pub idle_timeout: Duration,
-    /// Largest accepted frame payload.
-    pub max_frame_len: usize,
     /// Fingerprint-cache capacity (scores); 0 disables caching but keeps
     /// single-flight deduplication.
     pub cache_capacity: usize,
-    /// Backoff hint attached to [`Reply::Overloaded`].
-    pub retry_after_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -82,9 +81,7 @@ impl Default for ServeConfig {
             queue_depth: 32,
             default_deadline: None,
             idle_timeout: Duration::from_millis(5000),
-            max_frame_len: MAX_FRAME_LEN,
             cache_capacity: 1024,
-            retry_after_ms: 25,
         }
     }
 }
@@ -108,9 +105,7 @@ impl ServeConfig {
             idle_timeout: Duration::from_millis(
                 env_u64(IDLE_ENV, d.idle_timeout.as_millis() as u64).max(1),
             ),
-            max_frame_len: d.max_frame_len,
             cache_capacity: env_u64(CACHE_ENV, d.cache_capacity as u64) as usize,
-            retry_after_ms: d.retry_after_ms,
         }
     }
 }
@@ -318,7 +313,7 @@ fn conn_loop(shared: &Arc<Shared>, mut stream: TcpStream, queue: &SyncSender<Job
     }
     let _ = stream.set_nodelay(true);
     loop {
-        let mut payload = match read_frame(&mut stream, shared.config.max_frame_len) {
+        let mut payload = match read_frame(&mut stream, MAX_FRAME_LEN) {
             Ok(Some(p)) => p,
             // Clean EOF between frames: the client hung up.
             Ok(None) => return,
@@ -414,7 +409,7 @@ fn admit(shared: &Arc<Shared>, queue: &SyncSender<Job>, request: ScoreRequest) -
         Err(TrySendError::Full(_)) => {
             shared.queued.fetch_sub(1, Ordering::Relaxed);
             ServeStats::bump(&shared.stats.shed, "serve.shed");
-            return Reply::Overloaded { retry_after_ms: shared.config.retry_after_ms };
+            return Reply::Overloaded { retry_after_ms: RETRY_AFTER_MS };
         }
         Err(TrySendError::Disconnected(_)) => {
             shared.queued.fetch_sub(1, Ordering::Relaxed);

@@ -19,6 +19,7 @@
 
 use eth_graph::{AccountKind, LocalTx, Subgraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale};
+use features::N_FEATURES;
 use gnn::{
     GraphTensors, GsgBatch, GsgConfig, GsgEncoder, GsgItem, LdgBatch, LdgConfig, LdgEncoder,
 };
@@ -81,25 +82,16 @@ fn row_bits(t: &Tensor) -> Vec<Vec<u32>> {
 fn gsg_encoder(seed: u64) -> (ParamStore, GsgEncoder) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
-    let enc = GsgEncoder::new(
-        &mut store,
-        &mut rng,
-        GsgConfig { hidden: 8, d_out: 4, ..Default::default() },
-    );
+    let cfg = GsgConfig { hidden: 8, d_out: 4, ..Default::default() };
+    let enc = GsgEncoder::new(&mut store, &mut rng, N_FEATURES, cfg);
     (store, enc)
 }
 
 fn ldg_encoder(seed: u64) -> (ParamStore, LdgEncoder) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
-    let cfg = LdgConfig {
-        hidden: 8,
-        d_out: 4,
-        t_slices: T_SLICES,
-        pool_clusters: [6, 3, 1],
-        ..Default::default()
-    };
-    let enc = LdgEncoder::new(&mut store, &mut rng, cfg);
+    let cfg = LdgConfig { hidden: 8, d_out: 4, pool_clusters: [6, 3, 1], ..Default::default() };
+    let enc = LdgEncoder::new(&mut store, &mut rng, N_FEATURES, T_SLICES, cfg);
     (store, enc)
 }
 

@@ -132,8 +132,18 @@ fn training_records_the_per_branch_metrics_perfbench_reads() {
         "train.ldg.pool.high_water_buffers",
         "train.gsg.pool.peak_live_bytes",
         "train.ldg.pool.peak_live_bytes",
+        "train.gsg.pool.fit_allocated_bytes",
+        "train.ldg.pool.fit_allocated_bytes",
     ] {
         assert!(snap.gauges.get(gauge).is_some_and(|&v| v > 0.0), "gauge {gauge} not recorded");
+    }
+    // The counter sums every fit's footprint, the gauge keeps the largest
+    // one: with cross-fitting each branch fits three times.
+    for branch in ["gsg", "ldg"] {
+        let summed = snap.counters[&format!("train.{branch}.pool.allocated_bytes")];
+        let largest = snap.gauges[&format!("train.{branch}.pool.fit_allocated_bytes")];
+        assert_eq!(snap.counters[&format!("train.{branch}.fits")], 3, "{branch} fits");
+        assert!(largest < summed as f64, "{branch}: largest fit {largest} B of {summed} B");
     }
 }
 

@@ -5,7 +5,9 @@
 //! in-memory model, for every account category and at any worker-thread
 //! count — and a damaged model file is always a typed error, never a panic.
 
-use dbg4eth::{run, Dbg4EthConfig, Error, InferOptions, ModelIoError, Session, TrainedModel};
+use dbg4eth::{
+    run, Dbg4EthConfig, Error, FeatureMode, InferOptions, ModelIoError, Session, TrainedModel,
+};
 use eth_graph::{SamplerConfig, Subgraph};
 use eth_sim::{AccountClass, Benchmark, DatasetScale, GraphDataset};
 use std::path::PathBuf;
@@ -132,6 +134,30 @@ fn train_matches_run_and_containers_round_trip_in_memory() {
     assert_eq!(bits(&strict_scores(&loaded, &accounts)), bits(&run_out.test_scores));
     // Serialisation is deterministic: same model, same bytes.
     assert_eq!(bytes, loaded.model().to_bytes());
+}
+
+/// The "w/o node feature" setting needs no width anywhere: the encoders
+/// take their input width from the feature mode, so a `FeatureMode::None`
+/// configuration trains through `Session::train`, and its model serves the
+/// training run's test scores bit for bit in memory and after a save and
+/// reload.
+#[test]
+fn featureless_models_train_save_and_reload_bit_identically() {
+    let bench = all_category_bench(14);
+    let dataset = bench.dataset(AccountClass::Exchange);
+    let mut cfg = tiny_config();
+    cfg.features = FeatureMode::None;
+    let (session, run_out) = Session::train(dataset, 0.7, &cfg).expect("train");
+    let accounts = test_split_graphs(dataset, 0.7, cfg.seed);
+    let in_memory = strict_scores(&session, &accounts);
+    assert_eq!(bits(&in_memory), bits(&run_out.test_scores));
+
+    let path = scratch_path("featureless.dbgm");
+    session.save(&path).expect("save");
+    let loaded = Session::open(&path).expect("load");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.model().config.features, FeatureMode::None);
+    assert_eq!(bits(&strict_scores(&loaded, &accounts)), bits(&in_memory));
 }
 
 /// An empty account batch is a no-op, not an error.
